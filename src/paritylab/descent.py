@@ -26,21 +26,13 @@ from .netcore import (
     QuantizationSpec,
     SQUARED_ERROR,
     WeightVector,
-    predict_label,
+    clamp_psi,  # noqa: F401  (re-exported: Psi_B of the population update)
+    decision_cut,
 )
 
 
 class EmptyPopulation(Exception):
     """Population gradient requested over zero samples."""
-
-
-def clamp_psi(x, b: float):
-    """Saturating clamp to [-b, b]: b if x > b, -b if x < -b, x otherwise."""
-    if b <= 0:
-        raise ValueError("clamp range must be positive")
-    if not math.isfinite(b):
-        return x
-    return np.clip(x, -b, b)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +232,15 @@ def prepare_initial_weights(net: NeuralNet, config: DescentConfig) -> np.ndarray
 
 
 def _acc_bit(net: NeuralNet, output: float, y: float, loss: LossKind) -> bool:
-    act = net.activation_of(net.graph.output)
-    return bool(predict_label(output, act, loss) == y)
+    """Whether the output falls on the label's side of the decision cut.
+
+    The label is read where the loss compares the output with it: squared loss
+    fits y itself (a +-1 label or a 0/1 bit), BCE fits the bit (1 - y) / 2.
+    For +-1 labels this is predict_label(output, ...) == y.
+    """
+    cut = decision_cut(net.activation_of(net.graph.output), loss)
+    target = (1.0 - y) / 2.0 if loss.kind == "bce" else y
+    return bool((output >= cut) == (target >= cut))
 
 
 def _changed(graph_edges, old_w, new_w, idx=None):
@@ -256,26 +255,11 @@ def _changed(graph_edges, old_w, new_w, idx=None):
 # population gradient descent
 # ---------------------------------------------------------------------------
 
-_CHUNK_ELEMS = 1 << 22  # cap per-sample gradient matrices at ~32 MB
-
-
 def _population_update(net, population, loss, overflow_b):
     """E[Psi_B(dL/dw)] per edge, plus whether any contribution hit the clamp."""
-    n_e = net.n_edges
-    expected = np.zeros(n_e)
-    overflow_hit = False
-    rows = max(1, _CHUNK_ELEMS // max(1, n_e))
-    for lo in range(0, population.xs.shape[0], rows):
-        hi = lo + rows
-        grads, _ = net.gradient_batch(
-            population.xs[lo:hi], population.ys[lo:hi], loss
-        )
-        if math.isfinite(overflow_b):
-            if np.any(np.abs(grads) > overflow_b):
-                overflow_hit = True
-            grads = clamp_psi(grads, overflow_b)
-        expected += population.probs[lo:hi] @ grads
-    return expected, overflow_hit
+    return net.population_gradient(
+        population.xs, population.ys, population.probs, loss, overflow_b
+    )
 
 
 def gd_step(

@@ -368,10 +368,12 @@ def cmd_distinguish(config: dict, ctx: RunContext) -> int:
     return 0
 
 
-def _pytorch_uniform_net(n: int, widths, seed: int) -> netcore.NeuralNet:
-    """ReLU MLP with sigmoid head and fan-in-rescaled uniform init, the
-    convention of the replicated experiment."""
-    net = netcore.build_mlp(n, list(widths), netcore.RELU,
+def _pytorch_uniform_net(n: int, widths, seed: int,
+                         activation: netcore.Activation = netcore.RELU) -> netcore.NeuralNet:
+    """MLP with a sigmoid head and fan-in-rescaled uniform init, the
+    convention of the replicated experiment: every weight and bias into a
+    unit is U(+-1/sqrt(fan_in)), drawn in edge order."""
+    net = netcore.build_mlp(n, [int(w) for w in widths], activation,
                             out_activation=netcore.SIGMOID, init="zeros")
     rng = np.random.default_rng(seed)
     w = net.weights.values.copy()
@@ -660,12 +662,12 @@ def noisy_gd_parity_accuracies(n, widths, gamma, overflow_b, steps, sigma2,
                                n_parities, seed):
     """Train bounded-noisy population GD against planted parities; return the
     per-parity exhaustive accuracies of the final nets."""
-    rng = np.random.default_rng(seed)
     dist = funcdist.ParityUniform(n)
 
     def worker(i):
         f = dist.draw(np.random.default_rng(seed * 100003 + i))
-        net = _pytorch_uniform_net_sigmoid(n, widths, seed * 100003 + 7 * i + 1)
+        net = _pytorch_uniform_net(n, widths, seed * 100003 + 7 * i + 1,
+                                   activation=netcore.SIGMOID)
         population = descent.Population.uniform_grid(n, f.evaluate_batch)
         cfg = descent.DescentConfig(
             gamma=gamma, steps=steps, overflow_b=overflow_b,
@@ -676,20 +678,6 @@ def noisy_gd_parity_accuracies(n, widths, gamma, overflow_b, steps, sigma2,
         return sla.accuracy_eval(final, f)
 
     return _seed_sweep(worker, range(n_parities))
-
-
-def _pytorch_uniform_net_sigmoid(n, widths, seed):
-    net = netcore.build_mlp(n, [int(w) for w in widths], netcore.SIGMOID, init="zeros")
-    rng = np.random.default_rng(seed)
-    w = net.weights.values.copy()
-    fan = {}
-    for u, v in net.graph.edges:
-        if u != net.graph.constant:
-            fan[v] = fan.get(v, 0) + 1
-    for i, (u, v) in enumerate(net.graph.edges):
-        bound = 1.0 / math.sqrt(fan[v])
-        w[i] = rng.uniform(-bound, bound)
-    return net.with_weights(w)
 
 
 def cmd_gen_aer(config: dict, ctx: RunContext) -> int:

@@ -170,11 +170,16 @@ def predict_label(output, activation: Activation, loss: LossKind = SQUARED_ERROR
     -1 under b -> 1 - 2b.
     """
     output = np.asarray(output)
+    cut = decision_cut(activation, loss) if threshold is None else threshold
     if loss.kind == "bce":
-        cut = 0.5 if threshold is None else threshold
         return np.where(output >= cut, -1.0, 1.0)
-    cut = activation.midpoint if threshold is None else threshold
     return np.where(output >= cut, 1.0, -1.0)
+
+
+def decision_cut(activation: Activation, loss: LossKind) -> float:
+    """Default output threshold: the activation midpoint for squared error,
+    1/2 for BCE, whose output is P(bit = 1)."""
+    return 0.5 if loss.kind == "bce" else activation.midpoint
 
 
 # ---------------------------------------------------------------------------
@@ -652,40 +657,52 @@ class NeuralNet:
         grad, _ = self.gradient_array(x, y, loss)
         return WeightVector(self.graph, grad)
 
-    def gradient_batch(self, xs, ys, loss: LossKind = SQUARED_ERROR):
-        """Per-sample gradients, shape (batch, n_edges), plus outputs (batch,)."""
+    def _check_batch(self, xs, ys):
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.n_inputs or ys.shape != (xs.shape[0],):
-            raise DimensionMismatch("bad batch shapes for gradient_batch")
+            raise DimensionMismatch(f"bad batch shapes {xs.shape}, {ys.shape}")
+        return xs, ys
+
+    def _layered_backward(self, plan: _LayeredPlan, xs, ys, loss):
+        """Forward and backward over a batch on the layered plan.
+
+        Returns per layer the layer's inputs a (batch, in) and the loss
+        derivatives delta (batch, out) at its pre-activations, plus the
+        outputs (batch,).  Layer li's per-sample weight gradient is the outer
+        product delta_b a_b^T, its bias gradient delta_b.
+        """
+        w = self.weights.values
+        a_list, z_list = [xs], []
+        for li in range(len(plan.idx_w)):
+            z = a_list[-1] @ w[plan.idx_w[li]].T
+            if plan.idx_b[li] is not None:
+                z = z + w[plan.idx_b[li]]
+            z_list.append(z)
+            a_list.append(plan.acts[li](z))
+        outputs = a_list[-1][:, 0].copy()
+        deltas = [None] * len(plan.idx_w)
+        delta = self._batch_output_delta(outputs, ys, loss, z_list[-1][:, 0])[:, None]
+        for li in range(len(plan.idx_w) - 1, -1, -1):
+            deltas[li] = delta
+            if li > 0:
+                back = delta @ w[plan.idx_w[li]]
+                delta = back * plan.acts[li - 1].derivative(z_list[li - 1], a_list[li])
+        return a_list[:-1], deltas, outputs
+
+    def gradient_batch(self, xs, ys, loss: LossKind = SQUARED_ERROR):
+        """Per-sample gradients, shape (batch, n_edges), plus outputs (batch,)."""
+        xs, ys = self._check_batch(xs, ys)
         plan = self._plan()
         w = self.weights.values
         n_b = xs.shape[0]
         if plan is not None:
-            a_list = [xs]
-            z_list = []
-            a = xs
-            for li in range(len(plan.idx_w)):
-                z = a @ w[plan.idx_w[li]].T
-                if plan.idx_b[li] is not None:
-                    z = z + w[plan.idx_b[li]]
-                a = plan.acts[li](z)
-                z_list.append(z)
-                a_list.append(a)
-            outputs = a[:, 0].copy()
+            acts, deltas, outputs = self._layered_backward(plan, xs, ys, loss)
             grads = np.zeros((n_b, self.n_edges))
-            delta = self._batch_output_delta(outputs, ys, loss, z_list[-1][:, 0])
-            delta = delta[:, None]
-            for li in range(len(plan.idx_w) - 1, -1, -1):
-                gw = np.einsum("bo,bi->boi", delta, a_list[li])
-                grads[:, plan.idx_w[li].ravel()] = gw.reshape(n_b, -1)
+            for li, (a, delta) in enumerate(zip(acts, deltas)):
+                grads[:, plan.idx_w[li].ravel()] = _outer_rows(delta, a)
                 if plan.idx_b[li] is not None:
                     grads[:, plan.idx_b[li]] = delta
-                if li > 0:
-                    back = delta @ w[plan.idx_w[li]]
-                    delta = back * plan.acts[li - 1].derivative(
-                        z_list[li - 1], a_list[li]
-                    )
             return grads, outputs
         comp = _compiled(self.graph)
         gph = self.graph
@@ -717,13 +734,105 @@ class NeuralNet:
             return outputs - (1.0 - ys) / 2.0
         return loss.d_output(outputs, ys) * act.derivative(z_out, outputs)
 
+    def population_gradient(self, xs, ys, probs, loss: LossKind = SQUARED_ERROR,
+                            overflow_b: float = math.inf):
+        """E_p[Psi_B(dL/dw)] over a weighted batch, plus whether any entry of
+        any per-sample gradient exceeded B in absolute value.
 
-def evaluate(net: NeuralNet, x, order=None) -> float:
-    return net.evaluate(x, order=order)
+        Psi_B clamps each per-sample gradient entry to [-B, B].  No per-sample
+        gradient matrix is built for the rows where Psi_B cannot fire: on the
+        layered plan a row's gradient in one layer is delta a^T (and delta for
+        the bias), so those rows reduce to one GEMM per layer, (p delta)^T a.
+        Only the rows that fail the test of ``_rows_beyond`` are materialized
+        and clamped.  Nets without a layered plan materialize every row.  Rows
+        go in blocks of at most _CHUNK_ELEMS per-sample gradient entries.
+        """
+        xs, ys = self._check_batch(xs, ys)
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.shape != ys.shape:
+            raise DimensionMismatch(f"probs has shape {probs.shape}, labels {ys.shape}")
+        if not overflow_b > 0:
+            raise ValueError("clamp range must be positive")
+        plan = self._plan()
+        expected = np.zeros(self.n_edges)
+        overflow_hit = False
+        rows = max(1, _CHUNK_ELEMS // max(1, self.n_edges))
+        for lo in range(0, xs.shape[0], rows):
+            block = slice(lo, lo + rows)
+            if plan is None:
+                grads, _ = self.gradient_batch(xs[block], ys[block], loss)
+                part, hit = _clamped_sum(probs[block], grads, overflow_b)
+            else:
+                part, hit = self._fused_block(
+                    plan, xs[block], ys[block], probs[block], loss, overflow_b
+                )
+            expected += part
+            overflow_hit = overflow_hit or hit
+        return expected, overflow_hit
+
+    def _fused_block(self, plan, xs, ys, probs, loss, overflow_b):
+        acts, deltas, _ = self._layered_backward(plan, xs, ys, loss)
+        part = np.zeros(self.n_edges)
+        overflow_hit = False
+        for li, (a, delta) in enumerate(zip(acts, deltas)):
+            idx = plan.idx_w[li]
+            if plan.idx_b[li] is not None:
+                # a bias is the weight of one more input, fixed at 1
+                a = np.hstack([a, np.ones((a.shape[0], 1))])
+                idx = np.hstack([idx, plan.idx_b[li][:, None]])
+            beyond = _rows_beyond(a, delta, overflow_b)
+            within = slice(None) if beyond is None else ~beyond
+            g = (probs[within, None] * delta[within]).T @ a[within]
+            if beyond is not None:
+                s, hit = _clamped_sum(
+                    probs[beyond], _outer_rows(delta[beyond], a[beyond]), overflow_b
+                )
+                g += s.reshape(g.shape)
+                overflow_hit = overflow_hit or hit
+            part[idx] = g
+        return part, overflow_hit
 
 
-def gradient(net: NeuralNet, x, y, loss: LossKind = SQUARED_ERROR) -> WeightVector:
-    return net.gradient(x, y, loss)
+_CHUNK_ELEMS = 1 << 22  # cap per-sample gradient blocks at ~32 MB
+
+
+def _outer_rows(delta, a):
+    """Row b is the flattened outer product delta_b a_b^T: (batch, out * in)."""
+    n_b, n_o = delta.shape
+    return np.einsum("bo,bi->boi", delta, a).reshape(n_b, n_o * a.shape[1])
+
+
+def clamp_psi(x, b: float):
+    """Saturating clamp to [-b, b]: b if x > b, -b if x < -b, x otherwise."""
+    if b <= 0:
+        raise ValueError("clamp range must be positive")
+    if not math.isfinite(b):
+        return x
+    return np.clip(x, -b, b)
+
+
+def _clamped_sum(probs, grads, b):
+    """probs @ Psi_b(grads), and whether any entry of grads exceeded b."""
+    hit = math.isfinite(b) and bool(np.any(np.abs(grads) > b))
+    return probs @ clamp_psi(grads, b), hit
+
+
+def _rows_beyond(a, delta, b):
+    """Mask of the rows whose outer product delta_b a_b^T may have an entry
+    beyond b, or None when no row's can.
+
+    A row is within b when max|delta_b| * max|a_b| <= b: float rounding is
+    monotone, so no product delta_j a_i of that row exceeds b.  The whole
+    block is tested first, with one reduction per factor.  NaN fails the test.
+    """
+    if not math.isfinite(b):
+        return None
+    a_abs, d_abs = np.abs(a), np.abs(delta)
+    if np.max(d_abs, initial=0.0) * np.max(a_abs, initial=0.0) <= b:
+        return None
+    bound = np.max(d_abs, axis=1, initial=0.0) * np.max(a_abs, axis=1, initial=0.0)
+    beyond = ~(bound <= b)
+    return beyond if beyond.any() else None
 
 
 # ---------------------------------------------------------------------------

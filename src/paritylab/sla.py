@@ -149,10 +149,7 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
         current = replay(history)
         x, y = z
         grad, output = current.gradient_array(x, y, loss)
-        acc = bool(
-            predict_label(output, current.activation_of(current.graph.output), loss)
-            == y
-        )
+        acc = _descent._acc_bit(current, output, y, loss)
         sel = _descent._select_coords(
             grad,
             config.coord_budget,

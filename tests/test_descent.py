@@ -242,6 +242,45 @@ class TestSgdRun:
                 assert abs(w) <= 1.25
 
 
+class TestAccuracyBit:
+    def test_label_read_in_output_space(self):
+        net = nc.build_mlp(2, [2], nc.TANH, out_activation=nc.SIGMOID)
+        # squared loss on 0/1 bits: the bit is compared at the sigmoid's cut 1/2
+        assert dc._acc_bit(net, 0.7, 1.0, nc.SQUARED_ERROR)
+        assert dc._acc_bit(net, 0.3, 0.0, nc.SQUARED_ERROR)
+        assert not dc._acc_bit(net, 0.7, 0.0, nc.SQUARED_ERROR)
+        # +-1 labels read as before: predict_label(output) == y
+        for out in (0.3, 0.7):
+            for y in (-1.0, 1.0):
+                for loss in (nc.SQUARED_ERROR, nc.LOGISTIC_BCE):
+                    want = nc.predict_label(out, nc.SIGMOID, loss) == y
+                    assert dc._acc_bit(net, out, y, loss) == want
+
+    def test_grid_parity_bits_track_train_accuracy(self):
+        # a 9-16-1 net on 200 3x3 images with 0/1 squared-loss targets, in the
+        # seed layout of run_gridparity_seed(seed=3); before the labels were
+        # read in output space the last epoch's bit rate was 0.125 against a
+        # train accuracy of 0.685
+        from paritylab import labcli
+
+        s = 3 * 7919
+        imgs, labels = fd.grid_dataset(fd.GridDatasetSpec(3, 200, seed=s + 1))
+        xs, ys = imgs.astype(float), labels.astype(float)
+        net = labcli._pytorch_uniform_net(9, [16], seed=s + 3)
+        source = labcli._EpochPairSource(xs, ys, seed=s + 4)
+        # gamma 0: one epoch of bits is exactly the fixed net's train accuracy
+        frozen, log = dc.sgd_run(net, source.with_seed(s + 4), nc.SQUARED_ERROR,
+                                 dc.DescentConfig(gamma=0.0, steps=200),
+                                 record_steps=False)
+        accuracy = np.mean((frozen.evaluate_batch(xs) >= 0.5) == (labels == 1))
+        assert np.mean(log.acc_bits) == accuracy
+        cfg = dc.DescentConfig(gamma=0.1, steps=2000, seed=s + 5)
+        final, log = dc.sgd_run(net, source, nc.SQUARED_ERROR, cfg, record_steps=False)
+        accuracy = np.mean((final.evaluate_batch(xs) >= 0.5) == (labels == 1))
+        assert accuracy > 0.6
+        assert abs(np.mean(log.acc_bits[-200:]) - accuracy) < 0.15
+
+
 class TestCoordinateDescent:
     def test_budget_required(self):
         cfg = dc.DescentConfig(gamma=0.1, steps=1)

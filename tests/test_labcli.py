@@ -2,8 +2,10 @@ import hashlib
 import json
 
 
+from paritylab import descent
 from paritylab import funcdist as fd
 from paritylab import labcli
+from paritylab import netcore
 from _util import brute_force_girth
 
 
@@ -266,6 +268,81 @@ class TestThreads:
             assert labcli.main(["gridparity", "--config", str(cfg)]) == 0
             blobs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
         assert blobs[0] == blobs[1]
+
+
+class TestPopulationGdReproducible:
+    """Population GD with a clamp that fires: reruns and LAB_THREADS leave
+    every result file byte-identical."""
+
+    BOUNDS = {
+        "experiment": "bounds", "seed": 4,
+        "parameters": {"empirical": {"n": 8, "widths": [16], "gamma": 0.05,
+                                     "overflow_b": 0.05, "steps": 50,
+                                     "sigma2": 0.01, "n_parities": 2}},
+    }
+    TRAIN = {
+        "experiment": "train", "seed": 4,
+        "parameters": {"n": 8, "function_mask": 0b10110101, "algorithm": "gd",
+                       "net": {"widths": [16]},
+                       "descent": {"gamma": 0.05, "steps": 50, "overflow_b": 0.05,
+                                   "noise_kind": "gaussian", "noise_variance": 0.01}},
+    }
+
+    @staticmethod
+    def _results(tmp_path, base, name):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, {**base, "output_dir": str(out)}, name=f"{name}.json")
+        assert labcli.main([base["experiment"], "--config", str(cfg)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                if p.name != "manifest.json"}
+
+    def _first_run_clamps(self, tmp_path, base, monkeypatch):
+        hits = []
+        update = descent._population_update
+
+        def recording(*args):
+            expected, hit = update(*args)
+            hits.append(hit)
+            return expected, hit
+
+        with monkeypatch.context() as m:
+            m.setattr(descent, "_population_update", recording)
+            first = self._results(tmp_path, base, "first")
+        assert any(hits)
+        return first
+
+    def test_bounds_empirical(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("LAB_THREADS", raising=False)
+        first = self._first_run_clamps(tmp_path, self.BOUNDS, monkeypatch)
+        assert set(first) == {"bounds.csv", "bounds_empirical.json"}
+        assert self._results(tmp_path, self.BOUNDS, "second") == first
+        for threads in ("1", "2"):
+            monkeypatch.setenv("LAB_THREADS", threads)
+            assert self._results(tmp_path, self.BOUNDS, f"threads{threads}") == first
+
+    def test_train_gd(self, tmp_path, monkeypatch):
+        first = self._first_run_clamps(tmp_path, self.TRAIN, monkeypatch)
+        assert set(first) == {"net.json", "train.json"}
+        assert self._results(tmp_path, self.TRAIN, "second") == first
+
+
+class TestUniformInitNet:
+    def test_initial_weight_bytes(self):
+        # digests of the weights each caller drew before the ReLU and sigmoid
+        # builders were one function: the grid-parity net of seed 3 and the
+        # noisy-GD net of parity 5 at seed 808
+        relu = labcli._pytorch_uniform_net(9, [16], seed=3 * 7919 + 3)
+        sigmoid = labcli._pytorch_uniform_net(12, [16], 808 * 100003 + 7 * 5 + 1,
+                                              activation=netcore.SIGMOID)
+        assert relu.activation is netcore.RELU
+        assert relu.activation_of(relu.graph.output) == netcore.SIGMOID
+        assert sigmoid.activation is netcore.SIGMOID and not sigmoid.vertex_activations
+        digests = [hashlib.sha256(net.weights.values.tobytes()).hexdigest()
+                   for net in (relu, sigmoid)]
+        assert digests == [
+            "aa75d96e0d6cf198d16e5ac602a254ec85e1d57772936e465f5c4de006dc947e",
+            "2e9df8ed7df24b9b3cb99e13f45d12072bfcea6c31ca70838f249ea6e48e001b",
+        ]
 
 
 class TestPhaseFailureDirection:

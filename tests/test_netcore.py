@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -317,3 +318,88 @@ class TestSerialization:
         assert restored.vertex_activations == net.vertex_activations
         x = np.array([1.0, -1.0, 1.0])
         assert restored.evaluate(x) == net.evaluate(x)
+
+
+def _clamped_reference(net, xs, ys, probs, loss, b):
+    """probs @ Psi_b(per-sample gradients), from the materialized matrix."""
+    grads, _ = net.gradient_batch(xs, ys, loss)
+    clamped = grads if math.isinf(b) else np.clip(grads, -b, b)
+    return probs @ clamped, bool(np.any(np.abs(grads) > b)), probs @ np.abs(clamped)
+
+
+def _assert_population_gradient_matches(net, xs, ys, probs, loss, b):
+    ref, ref_hit, mass = _clamped_reference(net, xs, ys, probs, loss, b)
+    got, hit = net.population_gradient(xs, ys, probs, loss, b)
+    assert hit == ref_hit
+    # relative to the summed magnitude sum_b p_b |Psi(g_b)|: the expectation
+    # itself can cancel to ~0 while its summands do not
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(float(np.max(mass)), 1e-300)
+
+
+class TestPopulationGradient:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        act=st.sampled_from([nc.SIGMOID, nc.TANH, nc.RELU]),
+        loss=st.sampled_from([nc.SQUARED_ERROR, nc.LOGISTIC_BCE]),
+        n=st.integers(1, 5),
+        rows=st.integers(1, 40),
+        scale=st.floats(0.1, 4.0),
+        chunk=st.sampled_from([1 << 22, 50]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_clamped_per_sample_sum(self, hidden, act, loss, n, rows, scale,
+                                            chunk, seed):
+        rng = np.random.default_rng(seed)
+        out_act = nc.SIGMOID if loss is nc.LOGISTIC_BCE else None
+        net = nc.build_mlp(n, hidden, act, out_activation=out_act)
+        net = net.with_weights(rng.uniform(-scale, scale, size=net.n_edges))
+        assert net._plan() is not None
+        xs = rng.normal(0.0, 1.5, size=(rows, n))
+        ys = 1.0 - 2.0 * rng.integers(0, 2, size=rows).astype(float)
+        probs = rng.random(rows) + 1e-3
+        probs /= probs.sum()
+        grads, _ = net.gradient_batch(xs, ys, loss)
+        row_max = np.unique(np.max(np.abs(grads), axis=1))
+        bs = [math.inf, 1.0]
+        if row_max.size > 1:
+            # fires on the rows with the largest entries, not on the smallest
+            bs.append(float(row_max[0] + row_max[-1]) / 2.0)
+        # blocks of 50 entries split the population and the materialized rows
+        with mock.patch.object(nc, "_CHUNK_ELEMS", chunk):
+            for b in bs:
+                _assert_population_gradient_matches(net, xs, ys, probs, loss, b)
+
+    @pytest.mark.parametrize("b", [math.inf, 1.0, 0.3])
+    def test_per_vertex_fallback(self, b):
+        rng = np.random.default_rng(21)
+        net = nc.build_monomial_net(4, 2)
+        assert net._plan() is None
+        net = net.with_weights(rng.uniform(-1.5, 1.5, size=net.n_edges))
+        xs = 1.0 - 2.0 * ((np.arange(16)[:, None] >> np.arange(4)[None, :]) & 1)
+        ys = np.prod(xs, axis=1)
+        probs = rng.random(16) + 0.1
+        probs /= probs.sum()
+        _assert_population_gradient_matches(net, xs, ys, probs, nc.SQUARED_ERROR, b)
+
+    def test_clamp_fires_on_some_rows(self):
+        rng = np.random.default_rng(2)
+        net = nc.build_mlp(6, [5], nc.SIGMOID, init="he_uniform", rng=rng)
+        xs = 1.0 - 2.0 * rng.integers(0, 2, size=(64, 6)).astype(float)
+        ys = np.prod(xs, axis=1)
+        probs = np.full(64, 1 / 64)
+        grads, _ = net.gradient_batch(xs, ys, nc.SQUARED_ERROR)
+        row_max = np.max(np.abs(grads), axis=1)
+        b = float(np.median(row_max))
+        assert np.any(row_max > b) and np.any(row_max <= b)
+        _assert_population_gradient_matches(net, xs, ys, probs, nc.SQUARED_ERROR, b)
+
+    def test_rejects_bad_shapes_and_range(self):
+        net = nc.build_mlp(3, [2])
+        xs, ys = np.ones((4, 3)), np.ones(4)
+        with pytest.raises(nc.DimensionMismatch):
+            net.population_gradient(xs, ys, np.full(3, 1 / 3))
+        with pytest.raises(nc.DimensionMismatch):
+            net.population_gradient(np.ones((4, 2)), ys, np.full(4, 0.25))
+        with pytest.raises(ValueError):
+            net.population_gradient(xs, ys, np.full(4, 0.25), overflow_b=0.0)
