@@ -407,11 +407,14 @@ def cd_run(
     )
 
 
-def _select_coords(grad, budget, rule, rng):
+def _select_coords(grad, budget, rule, seed, t):
+    """Step t's coordinates; the coordinate stream of (seed, t) is derived only
+    when the rule reads it."""
     n_e = grad.shape[0]
     if budget >= n_e:
         return np.arange(n_e)
     if rule == "randomk":
+        rng = _stream(seed, _STREAM_COORD, t)
         return np.sort(rng.choice(n_e, size=budget, replace=False))
     # topk: largest |gradient| first, ties by ascending edge index
     order = np.lexsort((np.arange(n_e), -np.abs(grad)))
@@ -430,9 +433,7 @@ def _sample_descent(net, w0, source, loss, config, record_steps, trainable, budg
         acc = _acc_bit(current, output, y, loss)
         log.acc_bits.append(acc)
         if budget is not None:
-            sel = _select_coords(
-                grad, budget, config.coord_rule, _stream(config.seed, _STREAM_COORD, t)
-            )
+            sel = _select_coords(grad, budget, config.coord_rule, config.seed, t)
         elif trainable is not None:
             sel = trainable
         else:

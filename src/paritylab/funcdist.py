@@ -213,6 +213,11 @@ class FunctionDistribution:
 
     n: int
 
+    def __post_init__(self):
+        # run by the dataclass families' __init__, unless they override it
+        if self.n < 1:
+            raise ValueError(f"need n >= 1 inputs, got {self.n}")
+
     def draw(self, rng: np.random.Generator) -> FunctionId:
         raise NotImplementedError
 
@@ -305,6 +310,7 @@ class ConstantMixture(FunctionDistribution):
     p_const: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0.0 <= self.p_const <= 0.5):
             raise ValueError("p_const must be in [0, 1/2]")
 
@@ -477,10 +483,6 @@ class SampleSource:
         if self.mode == "planted":
             return x, float(self.f.evaluate(x))
         return x, float(1.0 - 2.0 * self._rng.integers(0, 2))
-
-
-def next_sample(source: SampleSource) -> Tuple[np.ndarray, float]:
-    return source.next_sample()
 
 
 # ---------------------------------------------------------------------------

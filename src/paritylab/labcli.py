@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,8 @@ def _check_keys(section: dict, allowed: dict, where: str) -> dict:
     for key, (typ, default) in allowed.items():
         if key in section:
             value = section[key]
+            if isinstance(value, bool) and typ is not bool:
+                raise SchemaError(f"{where}.{key} must be {typ}, got bool")
             if typ is float and isinstance(value, int):
                 value = float(value)
             if not isinstance(value, typ):
@@ -64,7 +67,21 @@ def _check_keys(section: dict, allowed: dict, where: str) -> dict:
 _REQUIRED = object()
 
 
+@contextmanager
+def _values_checked(where: str):
+    """Report a ValueError raised while building ``where`` as a SchemaError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SchemaError(f"bad value in {where}: {exc}") from exc
+
+
 def _dist_from_config(section: dict) -> funcdist.FunctionDistribution:
+    with _values_checked("distribution"):
+        return _build_dist(section)
+
+
+def _build_dist(section: dict) -> funcdist.FunctionDistribution:
     kind = section.get("kind")
     if kind == "parity_uniform":
         spec = _check_keys(section, {"kind": (str, _REQUIRED), "n": (int, _REQUIRED)}, "distribution")
@@ -223,14 +240,15 @@ def _net_from_config(section: dict, n: int, seed: int) -> netcore.NeuralNet:
         out_act = netcore.ACTIVATIONS.get(spec["out_activation"])
         if out_act is None:
             raise SchemaError(f"unknown activation {spec['out_activation']!r}")
-    return netcore.build_mlp(
-        n,
-        [int(w) for w in spec["widths"]],
-        act,
-        out_activation=out_act,
-        init=spec["init"],
-        rng=np.random.default_rng(seed) if spec["init"] != "zeros" else None,
-    )
+    with _values_checked("net"):
+        return netcore.build_mlp(
+            n,
+            [int(w) for w in spec["widths"]],
+            act,
+            out_activation=out_act,
+            init=spec["init"],
+            rng=np.random.default_rng(seed) if spec["init"] != "zeros" else None,
+        )
 
 
 def _descent_config(section: dict, seed: int) -> descent.DescentConfig:
@@ -251,27 +269,28 @@ def _descent_config(section: dict, seed: int) -> descent.DescentConfig:
         },
         "descent",
     )
-    noise = descent.NoiseSpec(
-        spec["noise_kind"],
-        variance=spec["noise_variance"],
-        halfwidth=spec["noise_halfwidth"],
-    )
-    quant = None
-    if spec["quantization_bits"]:
-        total, frac = (int(b) for b in spec["quantization_bits"])
-        quant = netcore.QuantizationSpec(total, frac)
-    return descent.DescentConfig(
-        gamma=spec["gamma"],
-        steps=spec["steps"],
-        overflow_b=spec["overflow_b"],
-        weight_clamp_b=spec["weight_clamp_b"],
-        noise=noise,
-        init_perturb_variance=spec["init_perturb_variance"],
-        quantization=quant,
-        coord_budget=spec["coord_budget"] or None,
-        coord_rule=spec["coord_rule"],
-        seed=seed,
-    )
+    with _values_checked("descent"):
+        noise = descent.NoiseSpec(
+            spec["noise_kind"],
+            variance=spec["noise_variance"],
+            halfwidth=spec["noise_halfwidth"],
+        )
+        quant = None
+        if spec["quantization_bits"]:
+            total, frac = (int(b) for b in spec["quantization_bits"])
+            quant = netcore.QuantizationSpec(total, frac)
+        return descent.DescentConfig(
+            gamma=spec["gamma"],
+            steps=spec["steps"],
+            overflow_b=spec["overflow_b"],
+            weight_clamp_b=spec["weight_clamp_b"],
+            noise=noise,
+            init_perturb_variance=spec["init_perturb_variance"],
+            quantization=quant,
+            coord_budget=spec["coord_budget"] or None,
+            coord_rule=spec["coord_rule"],
+            seed=seed,
+        )
 
 
 def cmd_train(config: dict, ctx: RunContext) -> int:

@@ -47,9 +47,16 @@ class BudgetExceeded(Exception):
 # ---------------------------------------------------------------------------
 
 def _sigmoid(z):
-    # overflow-safe: only exponentiates non-positive values
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # overflow-safe: only exponentiates non-positive values.  With e =
+    # exp(-|z|) this is 1/(1+e) for z >= 0 and e/(1+e) otherwise, bit for bit,
+    # computed in one buffer (an array even for a 0-d z) with one division.
+    e = np.abs(z, out=np.empty_like(z))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = e + 1.0
+    e[z >= 0] = 1.0
+    e /= denominator
+    return e
 
 
 _ACT_TABLE = {
@@ -401,16 +408,38 @@ def _compiled(graph: NetGraph) -> _Compiled:
 
 
 class _LayeredPlan:
-    """Dense-MLP plan: per layer a gather-index matrix into the flat weights."""
+    """Dense-MLP plan: per layer, its weights and biases as contiguous blocks
+    of the flat edge vector, so a layer is read and written through views.
 
-    __slots__ = ("widths", "idx_w", "idx_b", "acts", "vertex_layers")
+    blocks[li] = (w_slice, (fan_in, fan_out), b_slice): w[w_slice] holds
+    layer li's W^T row-major and w[b_slice] its biases; b_slice is None for a
+    layer without biases.
+    """
 
-    def __init__(self, widths, idx_w, idx_b, acts, vertex_layers):
-        self.widths = widths
-        self.idx_w = idx_w
-        self.idx_b = idx_b
+    __slots__ = ("blocks", "acts")
+
+    def __init__(self, blocks, acts):
+        self.blocks = blocks
         self.acts = acts
-        self.vertex_layers = vertex_layers
+
+    def views(self, w):
+        """Per layer, views of W^T (..., fan_in, fan_out) and of the biases
+        (..., fan_out) or None, in w (..., n_edges): a weight vector or a
+        gradient matrix.  The reshape only splits the last, unit-stride axis,
+        so it is a view, and writing to it writes to w."""
+        lead = w.shape[:-1]
+        return [
+            (w[..., ws].reshape(lead + shape), None if bs is None else w[..., bs])
+            for ws, shape, bs in self.blocks
+        ]
+
+
+def _in_sums(a, wt, b):
+    """A layer's pre-activations a W^T + b, for one input (in,) or a batch."""
+    z = np.dot(a, wt)
+    if b is not None:
+        z += b
+    return z
 
 
 def _try_layered(graph: NetGraph, act_of) -> Optional[_LayeredPlan]:
@@ -425,33 +454,31 @@ def _try_layered(graph: NetGraph, act_of) -> Optional[_LayeredPlan]:
     if not layers or layers[-1] != [graph.output]:
         return None
     prev = list(graph.inputs)
-    idx_w, idx_b, acts, vertex_layers = [], [], [], []
+    blocks, acts = [], []
     for layer in layers:
-        bias_flags = set()
-        rows_w, rows_b = [], []
         act = act_of(layer[0])
+        rows_w, rows_b = [], []
         for v in layer:
-            if act_of(v) != act:
-                return None
-            srcs = list(comp.in_src[v])
-            eidx = list(comp.in_eidx[v])
-            by_src = dict(zip(srcs, eidx))
-            has_bias = graph.constant in by_src
-            bias_flags.add(has_bias)
-            expect = set(prev) | ({graph.constant} if has_bias else set())
-            if set(srcs) != expect:
+            by_src = dict(zip(comp.in_src[v].tolist(), comp.in_eidx[v].tolist()))
+            if act_of(v) != act or set(by_src) - {graph.constant} != set(prev):
                 return None
             rows_w.append([by_src[u] for u in prev])
-            rows_b.append(by_src.get(graph.constant, -1))
-        if len(bias_flags) != 1:
+            rows_b.append(by_src.get(graph.constant))
+        # W^T read row-major, and the biases, must each be one run of edge ids
+        w_ids = np.array(rows_w, dtype=np.intp).reshape(len(layer), len(prev)).T.ravel()
+        start = int(w_ids[0]) if w_ids.size else 0
+        if not np.array_equal(w_ids, np.arange(start, start + w_ids.size)):
             return None
-        idx_w.append(np.array(rows_w, dtype=np.intp))
-        idx_b.append(np.array(rows_b, dtype=np.intp) if bias_flags.pop() else None)
+        if rows_b.count(None) == len(layer):
+            b_slice = None
+        elif None in rows_b or rows_b != list(range(rows_b[0], rows_b[0] + len(layer))):
+            return None
+        else:
+            b_slice = slice(rows_b[0], rows_b[0] + len(layer))
+        blocks.append((slice(start, start + w_ids.size), (len(prev), len(layer)), b_slice))
         acts.append(act)
-        vertex_layers.append(tuple(layer))
         prev = layer
-    widths = [len(graph.inputs)] + [len(layer) for layer in vertex_layers]
-    return _LayeredPlan(widths, idx_w, idx_b, acts, vertex_layers)
+    return _LayeredPlan(blocks, acts)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +529,10 @@ class NeuralNet:
         else:
             wv = WeightVector(self.graph, values)
         net = NeuralNet(self.activation, self.graph, wv, self.vertex_activations)
-        # share the layered-structure analysis; it depends only on graph + acts
-        object.__setattr__(net, "_layered", self._layered)
-        object.__setattr__(net, "_layered_known", self._layered_known)
+        # share the layered-structure analysis; it depends only on graph + acts,
+        # so every net derived from this one reuses it instead of re-deriving it
+        object.__setattr__(net, "_layered", self._plan())
+        object.__setattr__(net, "_layered_known", True)
         return net
 
     def _plan(self) -> Optional[_LayeredPlan]:
@@ -530,14 +558,7 @@ class NeuralNet:
         if order is None:
             plan = self._plan()
             if plan is not None:
-                a = x
-                w = self.weights.values
-                for li in range(len(plan.idx_w)):
-                    z = w[plan.idx_w[li]] @ a
-                    if plan.idx_b[li] is not None:
-                        z = z + w[plan.idx_b[li]]
-                    a = plan.acts[li](z)
-                return float(a[0])
+                return float(self._layered_outputs(plan, x))
             use = _compiled(self.graph).order
         else:
             use = self._validated_order(order)
@@ -570,15 +591,9 @@ class NeuralNet:
                 f"batch has shape {xs.shape}, net expects (*, {self.n_inputs})"
             )
         plan = self._plan()
-        w = self.weights.values
         if plan is not None:
-            a = xs
-            for li in range(len(plan.idx_w)):
-                z = a @ w[plan.idx_w[li]].T
-                if plan.idx_b[li] is not None:
-                    z = z + w[plan.idx_b[li]]
-                a = plan.acts[li](z)
-            return a[:, 0]
+            return self._layered_outputs(plan, xs)
+        w = self.weights.values
         comp = _compiled(self.graph)
         y = np.zeros((self.graph.vertex_count, xs.shape[0]))
         y[self.graph.constant] = 1.0
@@ -588,10 +603,16 @@ class NeuralNet:
             y[v] = self.activation_of(v)(z)
         return y[self.graph.output].copy()
 
+    def _layered_outputs(self, plan, a):
+        """Output of one input (in,) or a batch (rows, in); keeps no activations."""
+        for (wt, b), act in zip(plan.views(self.weights.values), plan.acts):
+            a = act(_in_sums(a, wt, b))
+        return a[..., 0]
+
     # -- gradients ----------------------------------------------------------
 
     def _output_delta(self, output, y, loss: LossKind, z_out):
-        """dL/d(pre-activation of the output vertex)."""
+        """dL/d(pre-activation of the output vertex), elementwise."""
         act = self.activation_of(self.graph.output)
         if loss.kind == "bce" and act.kind == "sigmoid":
             # (p - t): the sigmoid derivative cancels the BCE quotient exactly
@@ -602,31 +623,9 @@ class NeuralNet:
         """Exact loss gradient, returned as (grad over edges, output value)."""
         x = self._check_x(x)
         plan = self._plan()
-        w = self.weights.values
         if plan is not None:
-            a_list = [x]
-            z_list = []
-            a = x
-            for li in range(len(plan.idx_w)):
-                z = w[plan.idx_w[li]] @ a
-                if plan.idx_b[li] is not None:
-                    z = z + w[plan.idx_b[li]]
-                a = plan.acts[li](z)
-                z_list.append(z)
-                a_list.append(a)
-            output = float(a[0])
-            grad = np.zeros(self.n_edges)
-            delta = np.array([self._output_delta(output, y, loss, z_list[-1][0])])
-            for li in range(len(plan.idx_w) - 1, -1, -1):
-                grad[plan.idx_w[li]] = np.outer(delta, a_list[li])
-                if plan.idx_b[li] is not None:
-                    grad[plan.idx_b[li]] = delta
-                if li > 0:
-                    back = w[plan.idx_w[li]].T @ delta
-                    delta = back * plan.acts[li - 1].derivative(
-                        z_list[li - 1], a_list[li]
-                    )
-            return grad, output
+            grad, output = self._layered_gradient(plan, x, y, loss)
+            return grad, float(output)
         return self._gradient_generic(x, y, loss)
 
     def _gradient_generic(self, x, y, loss):
@@ -665,45 +664,48 @@ class NeuralNet:
         return xs, ys
 
     def _layered_backward(self, plan: _LayeredPlan, xs, ys, loss):
-        """Forward and backward over a batch on the layered plan.
+        """Forward and backward on the layered plan, over one input (in,) with
+        a scalar label or a batch (rows, in) with labels (rows,).
 
-        Returns per layer the layer's inputs a (batch, in) and the loss
-        derivatives delta (batch, out) at its pre-activations, plus the
-        outputs (batch,).  Layer li's per-sample weight gradient is the outer
-        product delta_b a_b^T, its bias gradient delta_b.
+        Returns per layer the layer's inputs a (..., in) and the loss
+        derivatives delta (..., out) at its pre-activations, plus the outputs.
+        Layer li's weight gradient is the outer product a delta^T, in W^T's
+        layout, and its bias gradient delta.
         """
-        w = self.weights.values
+        views = plan.views(self.weights.values)
         a_list, z_list = [xs], []
-        for li in range(len(plan.idx_w)):
-            z = a_list[-1] @ w[plan.idx_w[li]].T
-            if plan.idx_b[li] is not None:
-                z = z + w[plan.idx_b[li]]
-            z_list.append(z)
-            a_list.append(plan.acts[li](z))
-        outputs = a_list[-1][:, 0].copy()
-        deltas = [None] * len(plan.idx_w)
-        delta = self._batch_output_delta(outputs, ys, loss, z_list[-1][:, 0])[:, None]
-        for li in range(len(plan.idx_w) - 1, -1, -1):
+        for (wt, b), act in zip(views, plan.acts):
+            z_list.append(_in_sums(a_list[-1], wt, b))
+            a_list.append(act(z_list[-1]))
+        # .T[0] is the output column of a batch, a float64 scalar for one input
+        outputs = a_list[-1].T[0]
+        deltas = [None] * len(plan.acts)
+        delta = self._output_delta(outputs, ys, loss, z_list[-1].T[0])[..., None]
+        for li in range(len(plan.acts) - 1, -1, -1):
             deltas[li] = delta
             if li > 0:
-                back = delta @ w[plan.idx_w[li]]
+                back = np.dot(delta, views[li][0].T)
                 delta = back * plan.acts[li - 1].derivative(z_list[li - 1], a_list[li])
         return a_list[:-1], deltas, outputs
+
+    def _layered_gradient(self, plan: _LayeredPlan, xs, ys, loss):
+        """Gradient (..., n_edges) and outputs of one input or a batch."""
+        acts, deltas, outputs = self._layered_backward(plan, xs, ys, loss)
+        grads = np.zeros(xs.shape[:-1] + (self.n_edges,))
+        for a, delta, (g_w, g_b) in zip(acts, deltas, plan.views(grads)):
+            np.multiply(a[..., :, None], delta[..., None, :], out=g_w)
+            if g_b is not None:
+                g_b[...] = delta
+        return grads, outputs
 
     def gradient_batch(self, xs, ys, loss: LossKind = SQUARED_ERROR):
         """Per-sample gradients, shape (batch, n_edges), plus outputs (batch,)."""
         xs, ys = self._check_batch(xs, ys)
         plan = self._plan()
+        if plan is not None:
+            return self._layered_gradient(plan, xs, ys, loss)
         w = self.weights.values
         n_b = xs.shape[0]
-        if plan is not None:
-            acts, deltas, outputs = self._layered_backward(plan, xs, ys, loss)
-            grads = np.zeros((n_b, self.n_edges))
-            for li, (a, delta) in enumerate(zip(acts, deltas)):
-                grads[:, plan.idx_w[li].ravel()] = _outer_rows(delta, a)
-                if plan.idx_b[li] is not None:
-                    grads[:, plan.idx_b[li]] = delta
-            return grads, outputs
         comp = _compiled(self.graph)
         gph = self.graph
         yv = np.zeros((gph.vertex_count, n_b))
@@ -717,7 +719,7 @@ class NeuralNet:
         outputs = yv[gph.output].copy()
         dy = np.zeros((gph.vertex_count, n_b))
         grads = np.zeros((n_b, self.n_edges))
-        gz_out = self._batch_output_delta(outputs, ys, loss, zv[gph.output])
+        gz_out = self._output_delta(outputs, ys, loss, zv[gph.output])
         for v in reversed(comp.order):
             if v == gph.output:
                 g = gz_out + dy[v] * self.activation_of(v).derivative(zv[v], yv[v])
@@ -728,12 +730,6 @@ class NeuralNet:
             dy[src] += np.outer(w[eidx], g)
         return grads, outputs
 
-    def _batch_output_delta(self, outputs, ys, loss, z_out):
-        act = self.activation_of(self.graph.output)
-        if loss.kind == "bce" and act.kind == "sigmoid":
-            return outputs - (1.0 - ys) / 2.0
-        return loss.d_output(outputs, ys) * act.derivative(z_out, outputs)
-
     def population_gradient(self, xs, ys, probs, loss: LossKind = SQUARED_ERROR,
                             overflow_b: float = math.inf):
         """E_p[Psi_B(dL/dw)] over a weighted batch, plus whether any entry of
@@ -741,8 +737,8 @@ class NeuralNet:
 
         Psi_B clamps each per-sample gradient entry to [-B, B].  No per-sample
         gradient matrix is built for the rows where Psi_B cannot fire: on the
-        layered plan a row's gradient in one layer is delta a^T (and delta for
-        the bias), so those rows reduce to one GEMM per layer, (p delta)^T a.
+        layered plan a row's gradient in one layer is a delta^T (and delta for
+        the bias), so those rows reduce to one GEMM per layer, a^T (p delta).
         Only the rows that fail the test of ``_rows_beyond`` are materialized
         and clamped.  Nets without a layered plan materialize every row.  Rows
         go in blocks of at most _CHUNK_ELEMS per-sample gradient entries.
@@ -774,32 +770,32 @@ class NeuralNet:
         acts, deltas, _ = self._layered_backward(plan, xs, ys, loss)
         part = np.zeros(self.n_edges)
         overflow_hit = False
-        for li, (a, delta) in enumerate(zip(acts, deltas)):
-            idx = plan.idx_w[li]
-            if plan.idx_b[li] is not None:
+        for a, delta, (g_w, g_b) in zip(acts, deltas, plan.views(part)):
+            if g_b is not None:
                 # a bias is the weight of one more input, fixed at 1
                 a = np.hstack([a, np.ones((a.shape[0], 1))])
-                idx = np.hstack([idx, plan.idx_b[li][:, None]])
             beyond = _rows_beyond(a, delta, overflow_b)
             within = slice(None) if beyond is None else ~beyond
-            g = (probs[within, None] * delta[within]).T @ a[within]
+            g = a[within].T @ (probs[within, None] * delta[within])
             if beyond is not None:
                 s, hit = _clamped_sum(
-                    probs[beyond], _outer_rows(delta[beyond], a[beyond]), overflow_b
+                    probs[beyond], _outer_rows(a[beyond], delta[beyond]), overflow_b
                 )
                 g += s.reshape(g.shape)
                 overflow_hit = overflow_hit or hit
-            part[idx] = g
+            g_w[...] = g[:g_w.shape[0]]
+            if g_b is not None:
+                g_b[...] = g[-1]
         return part, overflow_hit
 
 
 _CHUNK_ELEMS = 1 << 22  # cap per-sample gradient blocks at ~32 MB
 
 
-def _outer_rows(delta, a):
-    """Row b is the flattened outer product delta_b a_b^T: (batch, out * in)."""
-    n_b, n_o = delta.shape
-    return np.einsum("bo,bi->boi", delta, a).reshape(n_b, n_o * a.shape[1])
+def _outer_rows(a, delta):
+    """Row b is the flattened outer product a_b delta_b^T: (batch, in * out)."""
+    n_b, n_i = a.shape
+    return np.einsum("bi,bo->bio", a, delta).reshape(n_b, n_i * delta.shape[1])
 
 
 def clamp_psi(x, b: float):
@@ -854,6 +850,8 @@ def build_mlp(
     """
     if init != "zeros" and rng is None:
         raise ValueError("random init requires an rng")
+    if n < 0 or min(hidden, default=1) < 1:
+        raise ValueError(f"need n >= 0 and hidden widths >= 1, got {n}, {list(hidden)}")
     widths = [n] + list(hidden) + [1]
     constant = 0
     inputs = tuple(range(1, n + 1))

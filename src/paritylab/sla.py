@@ -16,6 +16,8 @@ binomial confidence interval.  This lower-bounds the optimal test's accuracy.
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -123,6 +125,12 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
     per-step noise and coordinate streams are derived from (config.seed, t),
     so the machine is a pure function of (sample, history) and its trace
     matches cd_run on the same source step for step.
+
+    ``replay`` is the definition of the state a history leads to.  ``update``
+    caches the weights of the last history it saw: when the next history
+    extends that one (the same symbol objects, in order) it applies only the
+    new symbols, and otherwise it replays from the initial weights, so any
+    history, rewound or interleaved with another, gets replay's answer.
     """
     if config.coord_budget is None:
         raise UnboundedAlphabet("coordinate budget required for a finite alphabet")
@@ -136,25 +144,35 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
     alphabet = 2 * sum(
         math.comb(n_e, j) * levels ** j for j in range(k + 1)
     )
+    lock = threading.Lock()
+    cached_w = w0.copy()
+    applied: list = []  # the symbols cached_w reflects, in order
 
-    def replay(symbols) -> NeuralNet:
-        w = w0.copy()
+    def apply(w, symbols):
         for changed, _ in symbols:
             for idx, value in changed:
                 w[idx] = value
+
+    def replay(symbols) -> NeuralNet:
+        w = w0.copy()
+        apply(w, symbols)
         return net.with_weights(w)
 
     def update(z, history):
         t = len(history) + 1
-        current = replay(history)
+        with lock:
+            if len(history) < len(applied) or not all(map(operator.is_, history, applied)):
+                cached_w[:] = w0
+                applied.clear()
+            fresh = history[len(applied):]
+            apply(cached_w, fresh)
+            applied.extend(fresh)
+            current = net.with_weights(cached_w)
         x, y = z
         grad, output = current.gradient_array(x, y, loss)
         acc = _descent._acc_bit(current, output, y, loss)
         sel = _descent._select_coords(
-            grad,
-            config.coord_budget,
-            config.coord_rule,
-            _descent._stream(config.seed, _descent._STREAM_COORD, t),
+            grad, config.coord_budget, config.coord_rule, config.seed, t
         )
         w = current.weights.values
         touched = w[sel] - config.gamma * grad[sel]

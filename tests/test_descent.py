@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -228,6 +231,18 @@ class TestSgdRun:
                           nc.SQUARED_ERROR, cfg, record_steps=False)
         assert np.array_equal(a.weights.values, b.weights.values)
 
+    def test_layered_plan_derived_once_over_epochs(self):
+        # three epochs as the grid-parity runner makes them: each sgd_run
+        # starts from the net the previous one returned
+        net = nc.build_mlp(9, [16, 8], nc.RELU, out_activation=nc.SIGMOID, init="he_uniform",
+                           rng=np.random.default_rng(1))
+        src = fd.SampleSource.planted(fd.ParitySubset(9, 0b101), fd.UniformInputs(9), seed=2)
+        cfg = dc.DescentConfig(gamma=0.1, steps=50, seed=3)
+        with mock.patch.object(nc, "_try_layered", wraps=nc._try_layered) as derive:
+            for _ in range(3):
+                net, _ = dc.sgd_run(net, src, nc.SQUARED_ERROR, cfg, record_steps=False)
+        assert derive.call_count == 1
+
     def test_weight_range_invariant(self):
         rng = np.random.default_rng(6)
         net = make_random_dag_net(rng, n_inputs=3, n_interior=5, weight_scale=3.0)
@@ -302,6 +317,20 @@ class TestCoordinateDescent:
         a, _ = dc.cd_run(net, mk(), nc.SQUARED_ERROR, cfg_cd)
         b, _ = dc.sgd_run(net, mk(), nc.SQUARED_ERROR, cfg_sgd)
         assert np.array_equal(a.weights.values, b.weights.values)
+
+    def test_randomk_run_digest(self):
+        # pinned before the coordinate stream became lazy: the same streams,
+        # coordinates, weights and step reports
+        net = nc.build_mlp(6, [4], nc.SIGMOID, init="he_uniform", rng=np.random.default_rng(0))
+        cfg = dc.DescentConfig(gamma=0.25, steps=60, coord_budget=2, coord_rule="randomk",
+                               quantization=nc.QuantizationSpec(8, 4),
+                               noise=dc.NoiseSpec.gaussian(0.01), seed=5)
+        src = fd.SampleSource.planted(fd.ParitySubset(6, 0b101), fd.UniformInputs(6), seed=3)
+        final, log = dc.cd_run(net, src, nc.SQUARED_ERROR, cfg)
+        digest = hashlib.sha256(final.weights.values.tobytes())
+        digest.update(json.dumps([r.to_json() for r in log.steps]).encode())
+        assert digest.hexdigest() == (
+            "fd5c1b09ada2073d2ce5ee6c6656be39146346e83c8d8969ac8a097138bbf5ac")
 
     def test_topk_picks_largest_gradient(self):
         # identity net, out = w_c + w1 x1 + w2 x2 at w = 0 -> out 0, y = -1

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import pytest
 
 from paritylab import descent
 from paritylab import funcdist as fd
@@ -104,6 +105,42 @@ class TestSchemaAndExitCodes:
             }]},
         })
         assert labcli.main(["bounds", "--config", str(cfg)]) == 2
+
+
+    @pytest.mark.parametrize("top, where", [
+        ({"parameters": {"distribution": {"kind": "parity_uniform", "n": -3}}},
+         "n >= 1"),
+        ({"seed": True, "parameters": {"distribution": {"kind": "parity_uniform", "n": 4}}},
+         "config.seed"),
+        ({"parameters": {"distribution": {"kind": "constant_mixture", "n": 8,
+                                          "p_const": 0.9}}},
+         "p_const"),
+    ])
+    def test_bad_values_exit_2_with_one_line(self, tmp_path, capsys, top, where):
+        cfg = write_config(tmp_path, {"experiment": "xpred",
+                                      "output_dir": str(tmp_path / "out"), **top})
+        assert labcli.main(["xpred", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and where in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "xpred.json").exists()
+
+    @pytest.mark.parametrize("net, descent_section", [
+        ({"widths": [0]}, {"gamma": 0.1, "steps": 4, "coord_budget": 1,
+                           "quantization_bits": [8, 4]}),
+        ({"widths": [3]}, {"gamma": -0.1, "steps": 4, "coord_budget": 1,
+                           "quantization_bits": [8, 4]}),
+        ({"widths": [3]}, {"gamma": 0.1, "steps": 4, "coord_budget": 1,
+                           "quantization_bits": [8, 9]}),
+    ])
+    def test_bad_net_or_descent_values_exit_2(self, tmp_path, capsys, net, descent_section):
+        cfg = write_config(tmp_path, {
+            "experiment": "distinguish", "output_dir": str(tmp_path / "out"),
+            "parameters": {"distribution": {"kind": "parity_uniform", "n": 4},
+                           "steps": 4, "trials": 20, "net": net,
+                           "descent": descent_section},
+        })
+        assert labcli.main(["distinguish", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("schema error: bad value in ")
 
 
 class TestBoundsCommand:

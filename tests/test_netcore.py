@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paritylab import labcli
 from paritylab import netcore as nc
 from _util import finite_difference_gradient, gradient_scaled_error, make_random_dag_net
 
@@ -69,6 +70,21 @@ class TestGraphInvariants:
 class TestEvaluate:
     def test_sigmoid_of_zero(self):
         assert chain_net().evaluate(np.array([])) == 0.5
+
+    def test_sigmoid_bits_equal_two_branch_form(self):
+        rng = np.random.default_rng(8)
+        edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 745.0, -745.0,
+                 1e308, -1e308, 5e-324, -5e-324]
+        z = np.concatenate([rng.normal(size=200) * scale
+                            for scale in (1e-8, 1e-3, 1.0, 30.0, 1e3)] + [edges])
+        with np.errstate(invalid="ignore"):
+            e = np.exp(-np.abs(z))
+            reference = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+            got = nc._sigmoid(z.copy())
+            scalars = [nc._sigmoid(np.asarray(v)) for v in z]
+        assert got.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+        assert all(s.shape == () for s in scalars)
+        assert np.array(scalars).view(np.uint64).tolist() == reference.view(np.uint64).tolist()
 
     def test_identity_linearity(self):
         g = nc.NetGraph(vertex_count=3, input_size=1, edges=((0, 2), (1, 2)),
@@ -191,6 +207,57 @@ class TestGradient:
         slow, out_slow = net._gradient_generic(x, 1.0, nc.SQUARED_ERROR)
         assert out_fast == pytest.approx(out_slow, abs=1e-12)
         assert np.allclose(fast, slow, atol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: nc.build_mlp(16, [8], nc.SIGMOID, init="he_uniform", rng=rng),
+        lambda rng: nc.build_mlp(3, [1, 1], nc.SIGMOID, init="gaussian_fan_in", rng=rng),
+        lambda rng: nc.build_mlp(1, [], nc.TANH, init="he_uniform", rng=rng),
+        lambda rng: nc.build_mlp(0, [], nc.SIGMOID),
+        lambda rng: nc.build_mlp(0, [3], nc.TANH),
+        lambda rng: chain_net(w_const=0.3),
+        lambda rng: labcli._pytorch_uniform_net(9, [16, 1, 4], seed=3),
+        lambda rng: labcli._pytorch_uniform_net(5, [4], seed=4, activation=nc.SIGMOID),
+    ])
+    def test_view_plan_matches_generic_path(self, make):
+        rng = np.random.default_rng(3)
+        net = make(rng)
+        # random weights, biases included, so every block is exercised
+        net = net.with_weights(rng.uniform(-1.0, 1.0, size=net.n_edges))
+        plan = net._plan()
+        assert plan is not None
+        # the blocks tile the edge vector
+        covered = np.zeros(net.n_edges, dtype=int)
+        for w_slice, shape, b_slice in plan.blocks:
+            covered[w_slice] += 1
+            assert covered[w_slice].size == shape[0] * shape[1]
+            if b_slice is not None:
+                covered[b_slice] += 1
+        assert np.all(covered == 1)
+        for loss in (nc.SQUARED_ERROR, nc.LOGISTIC_BCE):
+            xs = rng.normal(size=(3, net.n_inputs))
+            ys = rng.choice([-1.0, 1.0], size=3)
+            batch, _ = net.gradient_batch(xs, ys, loss)
+            for x, y, row in zip(xs, ys, batch):
+                fast, out_fast = net.gradient_array(x, y, loss)
+                slow, out_slow = net._gradient_generic(x, y, loss)
+                assert out_fast == pytest.approx(out_slow, abs=1e-12)
+                assert np.max(np.abs(fast - slow), initial=0.0) <= 1e-12
+                assert np.max(np.abs(row - slow), initial=0.0) <= 1e-12
+                assert net.evaluate(x) == pytest.approx(out_slow, abs=1e-12)
+
+    def test_non_contiguous_layer_takes_per_vertex_path(self):
+        # a layered 2-2-1 net numbered (hidden 3, 5; output 4) so that the
+        # hidden biases, edges (0,3) and (0,5), are not one run of edge ids
+        edges = ((0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (5, 4))
+        g = nc.NetGraph(vertex_count=6, input_size=2, edges=edges,
+                        constant=0, inputs=(1, 2), output=4)
+        net = nc.NeuralNet(nc.TANH, g, nc.WeightVector(g, np.linspace(-1.0, 1.0, 9)))
+        assert net._plan() is None
+        x = np.array([0.5, -1.0])
+        analytic, out = net.gradient_array(x, 1.0)
+        numeric = finite_difference_gradient(net, x, 1.0, nc.SQUARED_ERROR)
+        assert gradient_scaled_error(analytic, numeric) <= 1e-5
+        assert out == net.evaluate(x)
 
     def test_gradient_batch_matches_single(self):
         rng = np.random.default_rng(4)

@@ -1,7 +1,11 @@
 import math
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paritylab import descent as dc
 from paritylab import funcdist as fd
@@ -119,6 +123,90 @@ class TestSgdAsSla:
         assert np.array_equal(machine.replay(trace.symbols).weights.values,
                               final_cd.weights.values)
         assert [bool(s[1]) for s in trace.symbols] == log.acc_bits
+
+
+def _two_traces(cfg, steps):
+    """A machine's traces on two sources, and one spare sample per step."""
+    net = small_net()
+    traces = []
+    for seed in (3, 4):
+        src = fd.SampleSource.planted(fd.ParitySubset(6, 0b101), fd.UniformInputs(6), seed=seed)
+        traces.append(sla.run_trace(sla.sgd_as_sla(net, nc.SQUARED_ERROR, cfg), src, steps))
+    spare = fd.SampleSource.null(fd.UniformInputs(6), seed=5)
+    return net, traces, [spare.next_sample() for _ in range(steps + 1)]
+
+
+_PURITY_CFG = quant_config(steps=12, budget=2, noise=dc.NoiseSpec.gaussian(0.05))
+_PURITY_CFG_RANDOMK = dc.DescentConfig(
+    gamma=0.25, steps=12, coord_budget=2, coord_rule="randomk",
+    quantization=nc.QuantizationSpec(8, 4), seed=6)
+
+
+class TestSgdAsSlaCache:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cfg=st.sampled_from([_PURITY_CFG, _PURITY_CFG_RANDOMK]),
+        queries=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 12), st.booleans(), st.booleans()),
+            min_size=1, max_size=30),
+    )
+    def test_update_is_a_function_of_sample_and_history(self, cfg, queries):
+        """Histories that extend, rewind, switch traces, or hold equal but
+        distinct symbol objects all get a fresh machine's answer."""
+        net, traces, spare = _two_traces(cfg, 12)
+        machine = sla.sgd_as_sla(net, nc.SQUARED_ERROR, cfg)
+        for which, length, copied, fresh_sample in queries:
+            history = traces[which].symbols[:length]
+            if copied:
+                history = tuple((tuple(changed), acc) for changed, acc in history)
+            z = spare[length] if fresh_sample else traces[which].pairs[min(length, 11)][0]
+            want = sla.sgd_as_sla(net, nc.SQUARED_ERROR, cfg).update(z, history)
+            assert machine.update(z, history) == want
+
+    def test_interleaved_traces_match_separate_runs(self):
+        net, traces, _ = _two_traces(_PURITY_CFG, 12)
+        machine = sla.sgd_as_sla(net, nc.SQUARED_ERROR, _PURITY_CFG)
+        histories = [[], []]
+        for t in range(12):
+            for which in (0, 1):
+                z = traces[which].pairs[t][0]
+                histories[which].append(machine.update(z, tuple(histories[which])))
+        assert [tuple(h) for h in histories] == [tr.symbols for tr in traces]
+
+    def test_threads_sharing_a_machine_get_their_own_traces(self):
+        net, traces, _ = _two_traces(_PURITY_CFG, 12)
+        machine = sla.sgd_as_sla(net, nc.SQUARED_ERROR, _PURITY_CFG)
+        results = [None] * 4
+
+        def worker(i):
+            runs = set()
+            for _ in range(60):
+                trace, history = traces[i % 2], []
+                for t in range(12):
+                    history.append(machine.update(trace.pairs[t][0], tuple(history)))
+                runs.add(tuple(history))
+            results[i] = runs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [{traces[i % 2].symbols} for i in range(4)]
+
+    def test_layered_plan_derived_once_per_trace(self):
+        net = small_net()
+        machine = sla.sgd_as_sla(net, nc.SQUARED_ERROR, quant_config(steps=200))
+        src = fd.SampleSource.null(fd.UniformInputs(6), seed=2)
+        with mock.patch.object(nc, "_try_layered", wraps=nc._try_layered) as derive:
+            sla.run_trace(machine, src, 200)
+        assert derive.call_count == 1
 
 
 class TestGf2SolverSla:
