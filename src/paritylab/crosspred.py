@@ -131,6 +131,35 @@ def pred_closed_form(dist: FunctionDistribution, input_dist) -> Optional[PredEst
     return None
 
 
+def _pair_estimate(draw_products, pairs: int, inner_x: int, rng, bootstrap: int) -> PredEstimate:
+    """Monte-Carlo estimate from ``pairs`` draws of draw_products(), each the
+    products f(x) g(x) of one function pair on ``inner_x`` sampled inputs.
+
+    Each pair contributes its squared mean less the variance term, which
+    makes the contribution unbiased; the estimate is their mean clipped to
+    [0, 1], and its 95% CI is a bootstrap over the contributions, drawn from
+    ``rng`` after the pairs.
+    """
+    contributions = np.empty(pairs)
+    for i in range(pairs):
+        c = draw_products()
+        mean = c.mean()
+        var = c.var(ddof=1)
+        contributions[i] = mean * mean - var / inner_x
+    value = float(np.clip(contributions.mean(), 0.0, 1.0))
+    resample_means = np.empty(bootstrap)
+    for b in range(bootstrap):
+        idx = rng.integers(0, pairs, size=pairs)
+        resample_means[b] = contributions[idx].mean()
+    lo, hi = np.percentile(resample_means, [2.5, 97.5])
+    return PredEstimate(
+        value=value,
+        method="monte_carlo",
+        trials=pairs,
+        ci95_halfwidth=float((hi - lo) / 2.0),
+    )
+
+
 def pred_monte_carlo(
     dist: FunctionDistribution,
     input_sampler,
@@ -149,27 +178,14 @@ def pred_monte_carlo(
     if outer_pairs < 2 or inner_x < 2:
         raise ValueError("need outer_pairs >= 2 and inner_x >= 2")
     rng = np.random.default_rng(seed)
-    contributions = np.empty(outer_pairs)
-    for i in range(outer_pairs):
+
+    def products():
         f = dist.draw(rng)
         f2 = dist.draw(rng)
         xs = input_sampler.sample(rng, inner_x)
-        c = f.evaluate_batch(xs) * f2.evaluate_batch(xs)
-        mean = c.mean()
-        var = c.var(ddof=1)
-        contributions[i] = mean * mean - var / inner_x
-    value = float(np.clip(contributions.mean(), 0.0, 1.0))
-    resample_means = np.empty(bootstrap)
-    for b in range(bootstrap):
-        idx = rng.integers(0, outer_pairs, size=outer_pairs)
-        resample_means[b] = contributions[idx].mean()
-    lo, hi = np.percentile(resample_means, [2.5, 97.5])
-    return PredEstimate(
-        value=value,
-        method="monte_carlo",
-        trials=outer_pairs,
-        ci95_halfwidth=float((hi - lo) / 2.0),
-    )
+        return f.evaluate_batch(xs) * f2.evaluate_batch(xs)
+
+    return _pair_estimate(products, outer_pairs, inner_x, rng, bootstrap)
 
 
 def pred_vs_random_net(
@@ -189,29 +205,16 @@ def pred_vs_random_net(
     if trials < 2:
         raise ValueError("need at least 2 trials")
     rng = np.random.default_rng(seed)
-    contributions = np.empty(trials)
-    for i in range(trials):
+
+    def products():
         net = build_mlp(
             h.n, list(arch), activation=SIGMOID, init="gaussian_fan_in", rng=rng
         )
         xs = 1.0 - 2.0 * rng.integers(0, 2, size=(inner_x, h.n)).astype(np.float64)
         preds = predict_label(net.evaluate_batch(xs), SIGMOID)
-        c = h.evaluate_batch(xs) * preds
-        mean = c.mean()
-        var = c.var(ddof=1)
-        contributions[i] = mean * mean - var / inner_x
-    value = float(np.clip(contributions.mean(), 0.0, 1.0))
-    resample_means = np.empty(bootstrap)
-    for b in range(bootstrap):
-        idx = rng.integers(0, trials, size=trials)
-        resample_means[b] = contributions[idx].mean()
-    lo, hi = np.percentile(resample_means, [2.5, 97.5])
-    return PredEstimate(
-        value=value,
-        method="monte_carlo",
-        trials=trials,
-        ci95_halfwidth=float((hi - lo) / 2.0),
-    )
+        return h.evaluate_batch(xs) * preds
+
+    return _pair_estimate(products, trials, inner_x, rng, bootstrap)
 
 
 # ---------------------------------------------------------------------------

@@ -224,15 +224,21 @@ def prepare_initial_weights(net: NeuralNet, config: DescentConfig) -> np.ndarray
     if config.init_perturb_variance > 0:
         rng = _stream(config.seed, _STREAM_INIT)
         w = w + rng.normal(0.0, math.sqrt(config.init_perturb_variance), size=w.shape)
-    if math.isfinite(config.weight_clamp_b):
-        w = np.clip(w, -config.weight_clamp_b, config.weight_clamp_b)
-    if config.quantization is not None:
-        w = config.quantization.quantize(w)
+    return _store(w, config.weight_clamp_b, config.quantization)
+
+
+def _store(w, weight_clamp_b, quantization):
+    """Project weights into [-B, B], then quantize them for storage, as configured."""
+    if math.isfinite(weight_clamp_b):
+        w = np.clip(w, -weight_clamp_b, weight_clamp_b)
+    if quantization is not None:
+        w = quantization.quantize(w)
     return w
 
 
-def _acc_bit(net: NeuralNet, output: float, y: float, loss: LossKind) -> bool:
-    """Whether the output falls on the label's side of the decision cut.
+def _acc_bit(net: NeuralNet, output, y, loss: LossKind):
+    """Whether the output falls on the label's side of the decision cut: a
+    bool for a float output and label, a bool array for arrays of them.
 
     The label is read where the loss compares the output with it: squared loss
     fits y itself (a +-1 label or a 0/1 bit), BCE fits the bit (1 - y) / 2.
@@ -240,7 +246,7 @@ def _acc_bit(net: NeuralNet, output: float, y: float, loss: LossKind) -> bool:
     """
     cut = decision_cut(net.activation_of(net.graph.output), loss)
     target = (1.0 - y) / 2.0 if loss.kind == "bce" else y
-    return bool((output >= cut) == (target >= cut))
+    return (output >= cut) == (target >= cut)
 
 
 def _changed(graph_edges, old_w, new_w, idx=None):
@@ -288,10 +294,7 @@ def _gd_step_full(net, population, loss, gamma, delta, overflow_b, weight_clamp_
         if isinstance(delta, WeightVector):
             delta = delta.values
         w = w + np.asarray(delta, dtype=np.float64)
-    if math.isfinite(weight_clamp_b):
-        w = np.clip(w, -weight_clamp_b, weight_clamp_b)
-    if quantization is not None:
-        w = quantization.quantize(w)
+    w = _store(w, weight_clamp_b, quantization)
     info = {
         "max_update": float(np.max(np.abs(update))) if update.size else 0.0,
         "overflow_hit": overflow_hit,
@@ -364,11 +367,7 @@ def sgd_step(
         if isinstance(delta, WeightVector):
             delta = delta.values
         w = w + np.asarray(delta, dtype=np.float64)
-    if math.isfinite(weight_clamp_b):
-        w = np.clip(w, -weight_clamp_b, weight_clamp_b)
-    if quantization is not None:
-        w = quantization.quantize(w)
-    return net.with_weights(w)
+    return net.with_weights(_store(w, weight_clamp_b, quantization))
 
 
 def sgd_run(
@@ -407,18 +406,47 @@ def cd_run(
     )
 
 
-def _select_coords(grad, budget, rule, seed, t):
-    """Step t's coordinates; the coordinate stream of (seed, t) is derived only
-    when the rule reads it."""
-    n_e = grad.shape[0]
+def _select_coords(grads, budget, rule, seeds, t):
+    """Step t's coordinates of each row of a gradient stack (K, n_edges), as
+    a (K, min(budget, n_edges)) array ascending along each row.  The
+    coordinate stream of (seeds[k], t) is derived only when the rule reads it."""
+    k_rows, n_e = grads.shape
     if budget >= n_e:
-        return np.arange(n_e)
+        return np.broadcast_to(np.arange(n_e), (k_rows, n_e))
     if rule == "randomk":
-        rng = _stream(seed, _STREAM_COORD, t)
-        return np.sort(rng.choice(n_e, size=budget, replace=False))
-    # topk: largest |gradient| first, ties by ascending edge index
-    order = np.lexsort((np.arange(n_e), -np.abs(grad)))
-    return np.sort(order[:budget])
+        return np.array([
+            np.sort(_stream(seed, _STREAM_COORD, t).choice(n_e, size=budget, replace=False))
+            for seed in seeds
+        ]).reshape(k_rows, budget)
+    # topk: largest |gradient| first, ties by ascending edge index, NaN last
+    size = np.abs(grads)
+    size[np.isnan(size)] = -1.0
+    if budget == 1:
+        return np.argmax(size, axis=1)[:, None]  # the first of the largest
+    order = np.argsort(-size, axis=1, kind="stable")
+    return np.sort(order[:, :budget], axis=1)
+
+
+def budgeted_step(w, grads, config: DescentConfig, seeds, t):
+    """Step t of coordinate descent for a stack of K runs that share
+    ``config`` but for its seed: row k of w and grads (K, n_edges) is run k's
+    weights and sample gradient, and seeds[k] its seed.
+
+    Each row updates only its ``coord_budget`` coordinates (top-k by
+    |gradient|, or a random k from its (seed, t) stream) to w - gamma * grad,
+    plus the noise of its (seed, t) stream, projected into [-B, B] and
+    quantized.  Returns the coordinates (K, k), their new values (K, k) and
+    gamma * grad at them (K, k); w itself is not written.
+    """
+    sel = _select_coords(grads, config.coord_budget, config.coord_rule, seeds, t)
+    rows = np.arange(w.shape[0])[:, None]
+    update = config.gamma * grads[rows, sel]
+    touched = w[rows, sel] - update
+    if config.noise.is_active:
+        for k, seed in enumerate(seeds):
+            delta = config.noise.draw(_stream(seed, _STREAM_NOISE, t), w.shape[1])
+            touched[k] += delta[sel[k]]
+    return sel, _store(touched, config.weight_clamp_b, config.quantization), update
 
 
 def _sample_descent(net, w0, source, loss, config, record_steps, trainable, budget):
@@ -430,41 +458,36 @@ def _sample_descent(net, w0, source, loss, config, record_steps, trainable, budg
     for t in range(1, config.steps + 1):
         x, y = source.next_sample()
         grad, output = current.gradient_array(x, y, loss)
-        acc = _acc_bit(current, output, y, loss)
+        acc = bool(_acc_bit(current, output, y, loss))
         log.acc_bits.append(acc)
-        if budget is not None:
-            sel = _select_coords(grad, budget, config.coord_rule, config.seed, t)
-        elif trainable is not None:
-            sel = trainable
-        else:
-            sel = None
-        delta = None
-        if config.noise.is_active:
-            delta = config.noise.draw(
-                _stream(config.seed, _STREAM_NOISE, t), current.n_edges
-            )
         old = current.weights.values
-        update = config.gamma * grad
-        if sel is None:
-            w = old - update
-            if delta is not None:
-                w = w + delta
-            if math.isfinite(config.weight_clamp_b):
-                w = np.clip(w, -config.weight_clamp_b, config.weight_clamp_b)
-            if config.quantization is not None:
-                w = config.quantization.quantize(w)
-            max_update = float(np.max(np.abs(update))) if update.size else 0.0
-        else:
+        if budget is not None:
+            sel, touched, update = budgeted_step(old[None], grad[None], config, (config.seed,), t)
+            sel, touched, update = sel[0], touched[0], update[0]
             w = old.copy()
-            touched = w[sel] - update[sel]
-            if delta is not None:
-                touched = touched + delta[sel]
-            if math.isfinite(config.weight_clamp_b):
-                touched = np.clip(touched, -config.weight_clamp_b, config.weight_clamp_b)
-            if config.quantization is not None:
-                touched = config.quantization.quantize(touched)
             w[sel] = touched
-            max_update = float(np.max(np.abs(update[sel]))) if sel.size else 0.0
+            max_update = float(np.max(np.abs(update))) if sel.size else 0.0
+        else:
+            delta = None
+            if config.noise.is_active:
+                delta = config.noise.draw(
+                    _stream(config.seed, _STREAM_NOISE, t), current.n_edges
+                )
+            update = config.gamma * grad
+            sel = trainable
+            if sel is None:
+                w = old - update
+                if delta is not None:
+                    w = w + delta
+                w = _store(w, config.weight_clamp_b, config.quantization)
+                max_update = float(np.max(np.abs(update))) if update.size else 0.0
+            else:
+                w = old.copy()
+                touched = w[sel] - update[sel]
+                if delta is not None:
+                    touched = touched + delta[sel]
+                w[sel] = _store(touched, config.weight_clamp_b, config.quantization)
+                max_update = float(np.max(np.abs(update[sel]))) if sel.size else 0.0
         current = current.with_weights(w)
         if record_steps:
             log.steps.append(

@@ -42,6 +42,9 @@ def bits_to_pm(bits):
     return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
 
 
+_PM_OF_BIT = np.array([1.0, -1.0])  # bits_to_pm as a lookup table for 0/1 ints
+
+
 def pm_to_bits(values):
     values = np.asarray(values)
     return ((1.0 - values) / 2.0).astype(np.int64)
@@ -103,21 +106,24 @@ class ParitySubset(FunctionId):
     def __post_init__(self):
         if self.mask < 0 or self.mask >= (1 << self.n):
             raise ValueError("subset mask out of range")
+        indices = np.array(
+            [i for i in range(self.n) if (self.mask >> i) & 1], dtype=np.intp
+        )
+        indices.setflags(write=False)
+        object.__setattr__(self, "_indices", indices)
 
     @property
     def indices(self) -> np.ndarray:
-        return np.array(
-            [i for i in range(self.n) if (self.mask >> i) & 1], dtype=np.intp
-        )
+        return self._indices
 
     def evaluate(self, x) -> float:
         x = self._check(x)
-        odd = int(np.count_nonzero(x[self.indices] < 0)) & 1
+        odd = int(np.count_nonzero(x[self._indices] < 0)) & 1
         return -1.0 if odd else 1.0
 
     def evaluate_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
-        odd = np.count_nonzero(xs[:, self.indices] < 0, axis=1) & 1
+        odd = np.count_nonzero(xs[:, self._indices] < 0, axis=1) & 1
         return 1.0 - 2.0 * odd
 
     def describe(self) -> dict:
@@ -147,21 +153,27 @@ class RandomTable(FunctionId):
     n: int
     seed: int
 
-    def _bit(self, bits_key: bytes) -> int:
-        h = hashlib.blake2b(
-            bits_key, digest_size=8, key=self.seed.to_bytes(8, "little", signed=False)
-        )
-        return h.digest()[0] & 1
+    def _keyed(self):
+        """The BLAKE2b state keyed by the seed; an input's bit is the low bit
+        of the first digest byte after feeding it the packed input."""
+        return hashlib.blake2b(digest_size=8, key=self.seed.to_bytes(8, "little", signed=False))
 
     def evaluate(self, x) -> float:
         x = self._check(x)
-        key = np.packbits(x < 0).tobytes()
-        return 1.0 - 2.0 * self._bit(key)
+        h = self._keyed()
+        h.update(np.packbits(x < 0).tobytes())
+        return 1.0 - 2.0 * (h.digest()[0] & 1)
 
     def evaluate_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         packed = np.packbits(xs < 0, axis=1)
-        return np.array([1.0 - 2.0 * self._bit(row.tobytes()) for row in packed])
+        keyed = self._keyed()
+        bits = []
+        for row in packed:
+            h = keyed.copy()
+            h.update(row)
+            bits.append(h.digest()[0] & 1)
+        return 1.0 - 2.0 * np.array(bits, dtype=np.float64)
 
     def describe(self) -> dict:
         return {"kind": "random_table", "n": self.n, "seed": self.seed}
@@ -376,6 +388,10 @@ class UniformInputs:
     def sample(self, rng, size: int) -> np.ndarray:
         return bits_to_pm(rng.integers(0, 2, size=(size, self.n)))
 
+    def sample_one(self, rng) -> np.ndarray:
+        """sample(rng, 1)[0], from the same draws of rng."""
+        return _PM_OF_BIT[rng.integers(0, 2, size=self.n)]
+
 
 @dataclass(frozen=True)
 class PointMassInput:
@@ -460,6 +476,8 @@ class SampleSource:
 
     def _next_x(self) -> np.ndarray:
         if self.sampling == "iid":
+            if isinstance(self.input_dist, UniformInputs):
+                return self.input_dist.sample_one(self._rng)
             return self.input_dist.sample(self._rng, 1)[0]
         xs = self.input_dist.xs
         if self.sampling == "exhaust":
@@ -482,7 +500,7 @@ class SampleSource:
         x = self._next_x()
         if self.mode == "planted":
             return x, float(self.f.evaluate(x))
-        return x, float(1.0 - 2.0 * self._rng.integers(0, 2))
+        return x, 1.0 - 2.0 * int(self._rng.integers(0, 2))
 
 
 # ---------------------------------------------------------------------------

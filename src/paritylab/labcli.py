@@ -67,6 +67,19 @@ def _check_keys(section: dict, allowed: dict, where: str) -> dict:
 _REQUIRED = object()
 
 
+def _int_list(values: list, where: str, low=None, high=None) -> list:
+    """A list-valued key whose elements must each be an int (not a bool),
+    within [low, high] where those are given."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"{where} elements must be int, got {type(value).__name__}")
+        if low is not None and value < low:
+            raise SchemaError(f"{where} elements must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise SchemaError(f"{where} elements must be <= {high}, got {value}")
+    return values
+
+
 @contextmanager
 def _values_checked(where: str):
     """Report a ValueError raised while building ``where`` as a SchemaError."""
@@ -243,7 +256,7 @@ def _net_from_config(section: dict, n: int, seed: int) -> netcore.NeuralNet:
     with _values_checked("net"):
         return netcore.build_mlp(
             n,
-            [int(w) for w in spec["widths"]],
+            _int_list(spec["widths"], "net.widths"),
             act,
             out_activation=out_act,
             init=spec["init"],
@@ -277,7 +290,7 @@ def _descent_config(section: dict, seed: int) -> descent.DescentConfig:
         )
         quant = None
         if spec["quantization_bits"]:
-            total, frac = (int(b) for b in spec["quantization_bits"])
+            total, frac = _int_list(spec["quantization_bits"], "descent.quantization_bits")
             quant = netcore.QuantizationSpec(total, frac)
         return descent.DescentConfig(
             gamma=spec["gamma"],
@@ -312,7 +325,8 @@ def cmd_train(config: dict, ctx: RunContext) -> int:
         raise SchemaError(f"unknown loss {spec['loss']!r}")
     loss = netcore.LOSSES[spec["loss"]]
     n = spec["n"]
-    f = funcdist.ParitySubset(n, spec["function_mask"])
+    with _values_checked("train"):
+        f = funcdist.ParitySubset(n, spec["function_mask"])
     net = _net_from_config(spec["net"], n, seed=ctx.seed)
     config_d = _descent_config(spec["descent"], seed=ctx.seed)
     if spec["algorithm"] == "gd":
@@ -484,6 +498,7 @@ def cmd_gridparity(config: dict, ctx: RunContext) -> int:
     if spec["loss"] not in netcore.LOSSES:
         raise SchemaError(f"unknown loss {spec['loss']!r}")
     loss = netcore.LOSSES[spec["loss"]]
+    _int_list(spec["widths"], "gridparity.widths", low=1)
     seeds = [ctx.seed + i for i in range(spec["n_seeds"])]
 
     def worker(seed):
@@ -524,12 +539,13 @@ def cmd_phase(config: dict, ctx: RunContext) -> int:
         },
         "phase",
     )
-    if not set(spec["methods"]) <= {"engineered", "generic_mlp"}:
+    if any(m not in ("engineered", "generic_mlp") for m in spec["methods"]):
         raise SchemaError(f"unknown phase methods in {spec['methods']}")
     n = spec["n"]
+    _int_list(spec["mlp_widths"], "phase.mlp_widths", low=1)
+    _int_list(spec["k_values"], "phase.k_values", low=1, high=n)
     rows = []
     for k in spec["k_values"]:
-        k = int(k)
         if "engineered" in spec["methods"]:
             rows.append(_phase_engineered(n, k, spec, ctx.seed))
         if "generic_mlp" in spec["methods"]:
@@ -663,11 +679,12 @@ def _bounds_empirical(section: dict, seed: int) -> dict:
     )
     if e["sigma2"] <= 0:
         raise SchemaError("empirical noisy-GD run needs sigma^2 > 0")
+    _int_list(e["widths"], "bounds.empirical.widths", low=1)
     accs = noisy_gd_parity_accuracies(
         n=e["n"], widths=e["widths"], gamma=e["gamma"], overflow_b=e["overflow_b"],
         steps=e["steps"], sigma2=e["sigma2"], n_parities=e["n_parities"], seed=seed,
     )
-    net_edges = netcore.build_mlp(e["n"], [int(w) for w in e["widths"]], netcore.SIGMOID).n_edges
+    net_edges = netcore.build_mlp(e["n"], e["widths"], netcore.SIGMOID).n_edges
     bound = sla.bound_gd(e["gamma"], e["overflow_b"], e["steps"], net_edges, e["n"], e["sigma2"])
     return {
         "mean_accuracy": float(np.mean(accs)),
@@ -712,7 +729,8 @@ def cmd_gen_aer(config: dict, ctx: RunContext) -> int:
     )
     rows = []
     for i in range(spec["count"]):
-        graph = funcdist.aer_sample(spec["n"], spec["m"], spec["r"], seed=ctx.seed + i)
+        with _values_checked("gen-aer"):
+            graph = funcdist.aer_sample(spec["n"], spec["m"], spec["r"], seed=ctx.seed + i)
         name = f"graph_{i:03d}.txt"
         funcdist.write_graph(ctx.out_dir / name, graph)
         g = funcdist.girth(graph)

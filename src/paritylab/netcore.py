@@ -434,9 +434,20 @@ class _LayeredPlan:
         ]
 
 
+def _vecmat(a, m):
+    """a m for one input (in,) or a batch (rows, in) against one matrix
+    (in, out), or row k of a stack (K, in) against m[k] of a stack (K, in,
+    out).  A stack runs np.matmul on 3-D stacks, one BLAS call per slice, so
+    row k equals np.dot(a[k], m[k]) bit for bit whatever K is."""
+    if m.ndim == 3:
+        return np.matmul(a[:, None, :], m)[:, 0, :]
+    return np.dot(a, m)
+
+
 def _in_sums(a, wt, b):
-    """A layer's pre-activations a W^T + b, for one input (in,) or a batch."""
-    z = np.dot(a, wt)
+    """A layer's pre-activations a W^T + b: one input or a batch against one
+    net's W^T, or a stack of inputs against a stack of nets' (see _vecmat)."""
+    z = _vecmat(a, wt)
     if b is not None:
         z += b
     return z
@@ -663,16 +674,18 @@ class NeuralNet:
             raise DimensionMismatch(f"bad batch shapes {xs.shape}, {ys.shape}")
         return xs, ys
 
-    def _layered_backward(self, plan: _LayeredPlan, xs, ys, loss):
+    def _layered_backward(self, plan: _LayeredPlan, xs, ys, loss, w=None):
         """Forward and backward on the layered plan, over one input (in,) with
-        a scalar label or a batch (rows, in) with labels (rows,).
+        a scalar label or a batch (rows, in) with labels (rows,), at this
+        net's weights; or, given a weight stack ``w`` (K, n_edges), over a
+        stack of inputs (K, in), row k at the weights w[k].
 
         Returns per layer the layer's inputs a (..., in) and the loss
         derivatives delta (..., out) at its pre-activations, plus the outputs.
         Layer li's weight gradient is the outer product a delta^T, in W^T's
         layout, and its bias gradient delta.
         """
-        views = plan.views(self.weights.values)
+        views = plan.views(self.weights.values if w is None else w)
         a_list, z_list = [xs], []
         for (wt, b), act in zip(views, plan.acts):
             z_list.append(_in_sums(a_list[-1], wt, b))
@@ -684,13 +697,14 @@ class NeuralNet:
         for li in range(len(plan.acts) - 1, -1, -1):
             deltas[li] = delta
             if li > 0:
-                back = np.dot(delta, views[li][0].T)
+                back = _vecmat(delta, views[li][0].swapaxes(-1, -2))
                 delta = back * plan.acts[li - 1].derivative(z_list[li - 1], a_list[li])
         return a_list[:-1], deltas, outputs
 
-    def _layered_gradient(self, plan: _LayeredPlan, xs, ys, loss):
-        """Gradient (..., n_edges) and outputs of one input or a batch."""
-        acts, deltas, outputs = self._layered_backward(plan, xs, ys, loss)
+    def _layered_gradient(self, plan: _LayeredPlan, xs, ys, loss, w=None):
+        """Gradient (..., n_edges) and outputs of one input, a batch, or a
+        stack of inputs at the weight stack ``w``."""
+        acts, deltas, outputs = self._layered_backward(plan, xs, ys, loss, w)
         grads = np.zeros(xs.shape[:-1] + (self.n_edges,))
         for a, delta, (g_w, g_b) in zip(acts, deltas, plan.views(grads)):
             np.multiply(a[..., :, None], delta[..., None, :], out=g_w)
@@ -728,6 +742,30 @@ class NeuralNet:
             src, eidx = comp.in_src[v], comp.in_eidx[v]
             grads[:, eidx] = (yv[src] * g).T
             dy[src] += np.outer(w[eidx], g)
+        return grads, outputs
+
+    def gradient_stack(self, weights, xs, ys, loss: LossKind = SQUARED_ERROR):
+        """Gradients of K nets of this graph at once, one sample each.
+
+        ``weights`` is (K, n_edges), ``xs`` (K, n) and ``ys`` (K,).  Returns
+        grads (K, n_edges) and outputs (K,), where row k equals
+        ``self.with_weights(weights[k]).gradient_array(xs[k], ys[k], loss)``
+        bit for bit, at any K and any position in the stack.
+        """
+        weights = np.asarray(weights, dtype=np.float64)
+        xs, ys = self._check_batch(xs, ys)
+        if weights.shape != (xs.shape[0], self.n_edges):
+            raise DimensionMismatch(
+                f"weight stack has shape {weights.shape}, expected "
+                f"({xs.shape[0]}, {self.n_edges})"
+            )
+        plan = self._plan()
+        if plan is not None:
+            return self._layered_gradient(plan, xs, ys, loss, weights)
+        grads = np.empty(weights.shape)
+        outputs = np.empty(ys.shape)
+        for k, (w, x, y) in enumerate(zip(weights, xs, ys)):
+            grads[k], outputs[k] = self.with_weights(w)._gradient_generic(x, y, loss)
         return grads, outputs
 
     def population_gradient(self, xs, ys, probs, loss: LossKind = SQUARED_ERROR,

@@ -15,6 +15,7 @@ binomial confidence interval.  This lower-bounds the optimal test's accuracy.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 import threading
@@ -46,19 +47,39 @@ class UnboundedAlphabet(Exception):
 # machines and traces
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class BudgetedSgd:
+    """What an sgd_as_sla machine is: coordinate descent on ``net`` under
+    ``loss`` and ``config``, from the stored initial weights ``w0``.
+
+    run_traces advances machines whose net (the same object), loss and
+    config (up to its seed) agree as one weight stack.
+    """
+
+    net: NeuralNet
+    loss: LossKind
+    config: DescentConfig
+    w0: np.ndarray
+
+    def stack_key(self):
+        return (id(self.net), self.loss, dataclasses.replace(self.config, seed=0))
+
+
 @dataclass(frozen=True)
 class SlaStateMachine:
     """A sequential learning algorithm: update(z, past symbols) -> symbol.
 
     ``symbol_stat`` optionally reads a per-step scalar (e.g. an accuracy bit)
     out of a symbol, for decision statistics.  ``replay`` optionally rebuilds
-    the underlying state from a symbol sequence.
+    the underlying state from a symbol sequence.  ``budgeted_sgd`` is set by
+    sgd_as_sla and lets run_traces run such machines in lockstep.
     """
 
     alphabet_size: float  # int or math.inf
     update: Callable
     symbol_stat: Optional[Callable] = None
     replay: Optional[Callable] = None
+    budgeted_sgd: Optional[BudgetedSgd] = None
 
 
 @dataclass(frozen=True)
@@ -112,6 +133,64 @@ def run_trace(
         symbols.append(w)
         pairs.append((z, w))
     return TraceRecord(pairs=tuple(pairs))
+
+
+def run_traces(machines: Sequence[SlaStateMachine], sources: Sequence[SampleSource],
+               steps: int) -> list:
+    """[run_trace(m, s, steps) for m, s in zip(machines, sources)], trace for trace.
+
+    Machines made by sgd_as_sla from one base net and one loss, with configs
+    that differ only in seed, advance in lockstep as one (K, n_edges) weight
+    stack: one stacked gradient and one budgeted step per sample step instead
+    of K.  Each trace is still a function of its own samples only, so every
+    symbol is run_trace's.  Every other machine runs through run_trace, and
+    so does every machine when two entries share a source object (run_trace
+    would draw their samples one trace after the other).
+    """
+    if len(machines) != len(sources):
+        raise ValueError("need one source per machine")
+    if steps < 1:
+        raise ValueError("need steps >= 1")
+    traces: list = [None] * len(machines)
+    stacks: dict = {}
+    distinct = len({id(src) for src in sources}) == len(sources)
+    for i, machine in enumerate(machines):
+        if distinct and machine.budgeted_sgd is not None:
+            stacks.setdefault(machine.budgeted_sgd.stack_key(), []).append(i)
+        else:
+            traces[i] = run_trace(machine, sources[i], steps)
+    for members in stacks.values():
+        stacked = _lockstep_traces(
+            [machines[i].budgeted_sgd for i in members], [sources[i] for i in members], steps
+        )
+        for i, trace in zip(members, stacked):
+            traces[i] = trace
+    return traces
+
+
+def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int) -> list:
+    """The traces of K budgeted-SGD machines that differ only in seed, with
+    their weights as the rows of one stack."""
+    net, loss, config = runs[0].net, runs[0].loss, runs[0].config
+    seeds = [run.config.seed for run in runs]
+    w = np.stack([run.w0 for run in runs])
+    rows = np.arange(len(runs))[:, None]
+    pairs: list = [[] for _ in runs]
+    for t in range(1, steps + 1):
+        zs = [src.next_sample() for src in sources]
+        xs = np.array([x for x, _ in zs])
+        ys = np.array([y for _, y in zs])
+        grads, outputs = net.gradient_stack(w, xs, ys, loss)
+        accs = _descent._acc_bit(net, outputs, ys, loss).tolist()
+        sel, touched, _ = _descent.budgeted_step(w, grads, config, seeds, t)
+        old = w[rows, sel]
+        w[rows, sel] = touched
+        for k, (z, coords, new, was) in enumerate(
+            zip(zs, sel.tolist(), touched.tolist(), old.tolist())
+        ):
+            changed = tuple((i, v) for i, v, o in zip(coords, new, was) if v != o)
+            pairs[k].append((z, (changed, accs[k])))
+    return [TraceRecord(pairs=tuple(p)) for p in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +249,11 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
             current = net.with_weights(cached_w)
         x, y = z
         grad, output = current.gradient_array(x, y, loss)
-        acc = _descent._acc_bit(current, output, y, loss)
-        sel = _descent._select_coords(
-            grad, config.coord_budget, config.coord_rule, config.seed, t
-        )
+        acc = bool(_descent._acc_bit(current, output, y, loss))
         w = current.weights.values
-        touched = w[sel] - config.gamma * grad[sel]
-        if config.noise.is_active:
-            delta = config.noise.draw(
-                _descent._stream(config.seed, _descent._STREAM_NOISE, t), n_e
-            )
-            touched = touched + delta[sel]
-        if math.isfinite(config.weight_clamp_b):
-            touched = np.clip(touched, -config.weight_clamp_b, config.weight_clamp_b)
-        touched = config.quantization.quantize(touched)
+        sel, touched, _ = _descent.budgeted_step(w[None], grad[None], config, (config.seed,), t)
         changed = tuple(
-            (int(i), float(v)) for i, v in zip(sel, touched) if v != w[i]
+            (int(i), float(v)) for i, v in zip(sel[0], touched[0]) if v != w[i]
         )
         return (changed, acc)
 
@@ -194,6 +262,7 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
         update=update,
         symbol_stat=lambda symbol: float(symbol[1]),
         replay=replay,
+        budgeted_sgd=BudgetedSgd(net, loss, config, w0),
     )
 
 
@@ -347,12 +416,18 @@ def distinguish_experiment(
             return machine
         return machine(_derived_seed(seed, tag, index))
 
+    def phase_stats(tag: int, sources) -> np.ndarray:
+        # the phase's traces run together (in lockstep where they stack)
+        machines = [make_machine(tag, i) for i in range(len(sources))]
+        traces = run_traces(machines, sources, steps)
+        return np.array([
+            _trace_statistic(trace, mach, statistic) for trace, mach in zip(traces, machines)
+        ])
+
     n_cal = calibration_trials if calibration_trials is not None else trials
-    cal_stats = np.empty(n_cal)
-    for i in range(n_cal):
-        src = SampleSource.null(inputs, seed=_derived_seed(seed, 0, i))
-        mach = make_machine(0, i)
-        cal_stats[i] = _trace_statistic(run_trace(mach, src, steps), mach, statistic)
+    cal_stats = phase_stats(0, [
+        SampleSource.null(inputs, seed=_derived_seed(seed, 0, i)) for i in range(n_cal)
+    ])
     distinct = np.unique(cal_stats)
     if len(distinct) <= 2:
         # binary statistic: the only nondegenerate cut is between its two values
@@ -361,20 +436,14 @@ def distinguish_experiment(
         threshold = float(np.quantile(cal_stats, 0.95, method="higher"))
 
     fn_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
-    correct = 0
-    for i in range(trials):
-        f = dist.draw(fn_rng)
-        src = SampleSource.planted(f, inputs, seed=_derived_seed(seed, 1, i))
-        mach = make_machine(1, i)
-        stat = _trace_statistic(run_trace(mach, src, steps), mach, statistic)
-        if stat > threshold:
-            correct += 1
-    for i in range(trials):
-        src = SampleSource.null(inputs, seed=_derived_seed(seed, 2, i))
-        mach = make_machine(2, i)
-        stat = _trace_statistic(run_trace(mach, src, steps), mach, statistic)
-        if stat <= threshold:
-            correct += 1
+    planted = phase_stats(1, [
+        SampleSource.planted(dist.draw(fn_rng), inputs, seed=_derived_seed(seed, 1, i))
+        for i in range(trials)
+    ])
+    null = phase_stats(2, [
+        SampleSource.null(inputs, seed=_derived_seed(seed, 2, i)) for i in range(trials)
+    ])
+    correct = int(np.count_nonzero(planted > threshold) + np.count_nonzero(null <= threshold))
     total = 2 * trials
     accuracy = correct / total
     lo, hi = _clopper_pearson(correct, total)

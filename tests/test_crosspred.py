@@ -151,6 +151,21 @@ class TestPredVsRandomNet:
         assert 1 / math.sqrt(2) * 0.8 <= ratio <= 1 / math.sqrt(2) * 1.2
 
 
+class TestMonteCarloPinned:
+    """Values taken before the two estimators shared one pair loop and
+    bootstrap: the same draws in the same order."""
+
+    def test_pred_monte_carlo(self):
+        est = cp.pred_monte_carlo(fd.ParityUniform(6), fd.UniformInputs(6), 50, 32,
+                                  seed=3, bootstrap=100)
+        assert (est.value, est.ci95_halfwidth) == (0.016774193548387096, 0.039619959677419325)
+
+    def test_pred_vs_random_net(self):
+        est = cp.pred_vs_random_net(fd.ParitySubset(8, 0b1011), [6, 4], trials=40, seed=5,
+                                    inner_x=64, bootstrap=100)
+        assert (est.value, est.ci95_halfwidth) == (0.0, 0.005934089781746031)
+
+
 class TestCheckNewpred:
     def test_constant_function(self):
         table = np.full((16, 2), 2.5)

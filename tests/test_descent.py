@@ -432,3 +432,47 @@ class TestRunLogFormat:
         assert set(record) == {"t", "changed", "max_update", "overflow_hit",
                                "acc_bit"}
         assert all(set(c) == {"edge", "w"} for c in record["changed"])
+
+
+def _topk_reference(grad, budget):
+    """The top-k rule as a loop over one gradient: largest |g| first, ties by
+    ascending index, NaN last."""
+    order = np.lexsort((np.arange(grad.shape[0]), -np.abs(grad)))
+    return np.sort(order[:budget])
+
+
+class TestBudgetedStep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 2.0, -2.0, math.nan]),
+                        min_size=1, max_size=9),
+        rows=st.integers(1, 4),
+        budget=st.integers(1, 10),
+        seed=st.integers(0, 10),
+    )
+    def test_topk_rows_match_the_loop(self, values, rows, budget, seed):
+        rng = np.random.default_rng(seed)
+        grads = np.array([rng.permutation(values) for _ in range(rows)])
+        sel = dc._select_coords(grads, budget, "topk", range(rows), 1)
+        for k in range(rows):
+            assert sel[k].tolist() == _topk_reference(grads[k], budget).tolist()
+
+    @pytest.mark.parametrize("rule", ["topk", "randomk"])
+    @pytest.mark.parametrize("noise", [dc.NoiseSpec.none(), dc.NoiseSpec.gaussian(0.05),
+                                       dc.NoiseSpec.uniform(0.2)])
+    def test_row_is_its_own_single_step(self, rule, noise):
+        """Row k of a K-row step equals the step of row k alone, with its seed."""
+        rng = np.random.default_rng(7)
+        cfg = dc.DescentConfig(gamma=0.3, steps=1, coord_budget=2, coord_rule=rule,
+                               weight_clamp_b=0.75, noise=noise,
+                               quantization=nc.QuantizationSpec(8, 4))
+        w = cfg.quantization.quantize(rng.uniform(-1, 1, size=(5, 12)))
+        grads = rng.normal(size=(5, 12))
+        seeds = [11, 12, 13, 14, 15]
+        sel, new, update = dc.budgeted_step(w, grads, cfg, seeds, 4)
+        assert sel.shape == new.shape == update.shape == (5, 2)
+        for k in range(5):
+            one = dc.budgeted_step(w[k:k + 1], grads[k:k + 1], cfg, seeds[k:k + 1], 4)
+            assert [a.tobytes() for a in one] == [a[k:k + 1].tobytes()
+                                                  for a in (sel, new, update)]
+            assert np.all(np.abs(new[k]) <= 0.75)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -131,6 +132,57 @@ class TestSampleSource:
         b = [b_src.next_sample() for _ in range(5)]
         for (xa, ya), (xb, yb) in zip(a, b):
             assert np.array_equal(xa, xb) and ya == yb
+
+
+def _samples_digest(src, count=1000):
+    h = hashlib.sha256()
+    for x, y in (src.next_sample() for _ in range(count)):
+        h.update(np.asarray(x, dtype=np.float64).tobytes())
+        h.update(np.float64(y).tobytes())
+    return h.hexdigest()
+
+
+class TestSampleStreamsPinned:
+    """Digests of 1,000 samples per source, taken before next_sample was made
+    cheaper: the draws, their order and the labels are unchanged."""
+
+    def test_planted_iid(self):
+        src = fd.SampleSource.planted(fd.ParitySubset(16, 0b1011000000100101),
+                                      fd.UniformInputs(16), seed=41)
+        assert _samples_digest(src) == (
+            "33341cfa5c5a329d14132ee18883326892eb56695833d8e9dfabc86cd9b3f802")
+
+    def test_null_iid(self):
+        src = fd.SampleSource.null(fd.UniformInputs(16), seed=42)
+        assert _samples_digest(src) == (
+            "c47bf2876edcc32d708eb4c4ecb3e80b1012a0e68e2382324eacadbf2ae5180a")
+
+    def test_planted_epoch(self):
+        xs = fd.UniformInputs(7).sample(np.random.default_rng(43), 50)
+        src = fd.SampleSource.planted(fd.ParitySubset(7, 0b1010011), fd.FiniteInputs(xs),
+                                      seed=44, sampling="epoch")
+        assert _samples_digest(src) == (
+            "f0297caa0ba213cc50164c309bb7c87d064d134a3cb32edf72e0e4bea0fecc7b")
+
+    def test_null_exhaust(self):
+        xs = fd.UniformInputs(7).sample(np.random.default_rng(45), 1000)
+        src = fd.SampleSource.null(fd.FiniteInputs(xs), seed=46, sampling="exhaust")
+        assert _samples_digest(src) == (
+            "d69bc9f5cd24a61151c2059a52b9dde45c02dc7e655bd49fd62f7711d1589c46")
+
+    def test_random_table_values(self):
+        table = fd.RandomTable(12, 0x5DEECE66D)
+        xs = fd.all_inputs_pm(12)
+        values = table.evaluate_batch(xs)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "7ca5b1f4bf0b663b240cc5ba3ae88003abf82917da37c896171f43306d098a1c")
+        assert [table.evaluate(x) for x in xs[:64]] == values[:64].tolist()
+
+    def test_parity_indices_fixed_at_construction(self):
+        f = fd.MonomialSubset(6, 0b101001, 3)
+        assert f.indices.tolist() == [0, 3, 5]
+        assert f.indices is f.indices and not f.indices.flags.writeable
+        assert f == fd.MonomialSubset(6, 0b101001, 3)
 
 
 class TestParityOrthogonality:

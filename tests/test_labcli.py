@@ -142,6 +142,24 @@ class TestSchemaAndExitCodes:
         assert labcli.main(["distinguish", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("schema error: bad value in ")
 
+    @pytest.mark.parametrize("command, parameters, where", [
+        ("train", {"n": 4, "function_mask": 99, "net": {"widths": [3]},
+                   "descent": {"gamma": 0.1, "steps": 5}}, "mask out of range"),
+        ("gen-aer", {"n": 10, "m": 3.0, "r": 2}, "r >= 3"),
+        ("phase", {"n": 6, "k_values": [0]}, "phase.k_values"),
+        ("phase", {"n": 6, "k_values": [2], "methods": [["engineered"]]}, "phase methods"),
+        ("train", {"n": 4, "function_mask": 3, "net": {"widths": [True]},
+                   "descent": {"gamma": 0.1, "steps": 5}}, "net.widths"),
+    ])
+    def test_bad_command_values_exit_2_with_one_line(self, tmp_path, capsys, command,
+                                                     parameters, where):
+        cfg = write_config(tmp_path, {"experiment": command,
+                                      "output_dir": str(tmp_path / "out"),
+                                      "parameters": parameters})
+        assert labcli.main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and where in err and "Traceback" not in err
+
 
 class TestBoundsCommand:
     def test_grid_rows(self, tmp_path):
@@ -165,6 +183,23 @@ class TestBoundsCommand:
         assert header[0] == "family" and len(rows) == 3
         # monotone in steps
         assert float(rows[1][-1]) >= float(rows[0][-1])
+
+    @pytest.mark.parametrize("seed, digest", [
+        (21, "f624855339884b633ad9badb45fda5497b7d0168d5be93d265f9c624df774cb9"),
+        (22, "d769c3915744ce1e715e08685371c4f84ef3574cc35956a6168a2bfcb80e20d6"),
+    ])
+    def test_monte_carlo_file_pinned(self, tmp_path, seed, digest):
+        # taken before the Monte-Carlo estimators were folded into one helper
+        # and the random table built its keyed hasher once per batch
+        cfg = write_config(tmp_path, {
+            "experiment": "xpred", "seed": seed, "output_dir": str(tmp_path / "out"),
+            "parameters": {"distribution": {"kind": "constant_mixture", "n": 16,
+                                            "p_const": 0.25},
+                           "outer_pairs": 2000},
+        })
+        assert labcli.main(["xpred", "--config", str(cfg)]) == 0
+        blob = (tmp_path / "out" / "xpred.json").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 
 class TestGenAer:

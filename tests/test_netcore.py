@@ -470,3 +470,53 @@ class TestPopulationGradient:
             net.population_gradient(np.ones((4, 2)), ys, np.full(4, 0.25))
         with pytest.raises(ValueError):
             net.population_gradient(xs, ys, np.full(4, 0.25), overflow_b=0.0)
+
+
+def _stack_case(net, k_rows, seed):
+    """K weight rows around the net's weights, K +-1 inputs and +-1 labels."""
+    rng = np.random.default_rng(seed)
+    weights = net.weights.values + rng.normal(0.0, 0.5, size=(k_rows, net.n_edges))
+    xs = 1.0 - 2.0 * rng.integers(0, 2, size=(k_rows, net.n_inputs)).astype(float)
+    ys = 1.0 - 2.0 * rng.integers(0, 2, size=k_rows).astype(float)
+    return weights, xs, ys
+
+
+class TestGradientStack:
+    @pytest.mark.parametrize("k_rows", [1, 3, 20])
+    @pytest.mark.parametrize("shape", ["16-8-1", "25-64x3-1"])
+    @pytest.mark.parametrize("loss", [nc.SQUARED_ERROR, nc.LOGISTIC_BCE])
+    def test_row_equals_gradient_array_bitwise(self, k_rows, shape, loss):
+        rng = np.random.default_rng(31)
+        if shape == "16-8-1":
+            net = nc.build_mlp(16, [8], nc.SIGMOID, init="he_uniform", rng=rng)
+        else:
+            net = labcli._pytorch_uniform_net(25, [64, 64, 64], seed=32)
+        weights, xs, ys = _stack_case(net, k_rows, seed=33 + k_rows)
+        grads, outputs = net.gradient_stack(weights, xs, ys, loss)
+        assert grads.shape == (k_rows, net.n_edges) and outputs.shape == (k_rows,)
+        for k in range(k_rows):
+            grad, output = net.with_weights(weights[k]).gradient_array(xs[k], ys[k], loss)
+            assert grads[k].tobytes() == grad.tobytes()
+            assert outputs[k] == output
+
+    def test_row_does_not_depend_on_its_stack(self):
+        net = nc.build_mlp(16, [8], nc.SIGMOID, init="he_uniform",
+                           rng=np.random.default_rng(34))
+        weights, xs, ys = _stack_case(net, 20, seed=35)
+        whole, _ = net.gradient_stack(weights, xs, ys)
+        for lo, hi in [(0, 1), (7, 10), (19, 20), (0, 20)]:
+            part, _ = net.gradient_stack(weights[lo:hi], xs[lo:hi], ys[lo:hi])
+            assert part.tobytes() == whole[lo:hi].tobytes()
+
+    def test_per_vertex_net_stacks_row_by_row(self):
+        net = nc.build_monomial_net(4, 2)
+        weights, xs, ys = _stack_case(net, 3, seed=36)
+        grads, outputs = net.gradient_stack(weights, xs, ys)
+        for k in range(3):
+            grad, output = net.with_weights(weights[k]).gradient_array(xs[k], ys[k])
+            assert grads[k].tobytes() == grad.tobytes() and outputs[k] == output
+
+    def test_shapes_checked(self):
+        net = nc.build_mlp(3, [2], nc.SIGMOID)
+        with pytest.raises(nc.DimensionMismatch):
+            net.gradient_stack(np.zeros((2, net.n_edges)), np.ones((3, 3)), np.ones(3))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -421,3 +422,101 @@ class TestTraceAudit:
         assert len(lines) == 6
         rec = js.loads(lines[0])
         assert set(rec) == {"t", "x", "y", "w"} and rec["t"] == 1
+
+
+def _lockstep_sources(kinds, n=6, first_seed=100):
+    """One source per entry of kinds: a planted parity (True) or a null stream."""
+    f = fd.ParitySubset(n, 0b101101)
+    return [
+        fd.SampleSource.planted(f, fd.UniformInputs(n), seed=first_seed + i) if planted
+        else fd.SampleSource.null(fd.UniformInputs(n), seed=first_seed + i)
+        for i, planted in enumerate(kinds)
+    ]
+
+
+def _same_pairs(a, b):
+    """Two traces hold the same (z, symbol) pairs, x arrays compared bitwise."""
+    return len(a) == len(b) and all(
+        za[0].tobytes() == zb[0].tobytes() and za[1] == zb[1] and wa == wb
+        for (za, wa), (zb, wb) in zip(a.pairs, b.pairs)
+    )
+
+
+_NOISES = {
+    "none": dc.NoiseSpec.none(),
+    "gaussian": dc.NoiseSpec.gaussian(0.05),
+    "uniform": dc.NoiseSpec.uniform(0.2),
+}
+
+
+class TestRunTraces:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kinds=st.lists(st.booleans(), min_size=1, max_size=6),
+        rule=st.sampled_from(["topk", "randomk"]),
+        budget=st.integers(1, 3),
+        noise=st.sampled_from(sorted(_NOISES)),
+        clamp=st.sampled_from([math.inf, 0.75]),
+        gammas=st.lists(st.sampled_from([0.25, 0.5]), min_size=6, max_size=6),
+    )
+    def test_lockstep_equals_run_trace(self, kinds, rule, budget, noise, clamp, gammas):
+        """Every machine's (z, symbol) pairs are run_trace's, whether the
+        machines form one stack or several (configs that differ in gamma)."""
+        net = small_net()
+        steps = 15
+        configs = [
+            dc.DescentConfig(gamma=gammas[i], steps=steps, coord_budget=budget,
+                             coord_rule=rule, weight_clamp_b=clamp,
+                             quantization=nc.QuantizationSpec(8, 4),
+                             noise=_NOISES[noise], seed=40 + i)
+            for i in range(len(kinds))
+        ]
+        machines = [sla.sgd_as_sla(net, nc.SQUARED_ERROR, cfg) for cfg in configs]
+        calls = []
+        counted = [
+            dataclasses.replace(m, update=lambda z, h, m=m: calls.append(1) or m.update(z, h))
+            for m in machines
+        ]
+        lockstep = sla.run_traces(counted, _lockstep_sources(kinds), steps)
+        assert calls == []  # the stacked machines never ran update
+        separate = [sla.run_trace(m, s, steps)
+                    for m, s in zip(machines, _lockstep_sources(kinds))]
+        assert all(_same_pairs(a, b) for a, b in zip(lockstep, separate))
+
+    def test_lockstep_trace_replays_to_cd_run(self):
+        net = small_net()
+        cfg = quant_config(steps=30, budget=2, noise=dc.NoiseSpec.gaussian(0.05))
+        machines = [sla.sgd_as_sla(net, nc.SQUARED_ERROR, dataclasses.replace(cfg, seed=s))
+                    for s in (5, 6, 7)]
+        traces = sla.run_traces(machines, _lockstep_sources([True, False, True]), 30)
+        for machine, trace, src in zip(machines, traces, _lockstep_sources([True, False, True])):
+            final, _ = dc.cd_run(net, src, nc.SQUARED_ERROR, machine.budgeted_sgd.config)
+            assert np.array_equal(machine.replay(trace.symbols).weights.values,
+                                  final.weights.values)
+
+    def test_machines_that_do_not_stack_run_through_run_trace(self):
+        echo = sla.SlaStateMachine(alphabet_size=2, update=lambda z, h: z[1])
+        net = small_net()
+        machines = [sla.gf2_solver_sla(6), sla.constant_sla(), echo,
+                    sla.sgd_as_sla(net, nc.SQUARED_ERROR, quant_config(seed=1)),
+                    sla.gf2_solver_sla(6)]
+        kinds = [True, False, True, False, False]
+        with mock.patch.object(sla, "run_trace", wraps=sla.run_trace) as sequential:
+            traces = sla.run_traces(machines, _lockstep_sources(kinds), 20)
+        assert sequential.call_count == 4
+        separate = [sla.run_trace(m, s, 20)
+                    for m, s in zip(machines, _lockstep_sources(kinds))]
+        assert all(_same_pairs(a, b) for a, b in zip(traces, separate))
+
+    def test_shared_source_draws_trace_after_trace(self):
+        net = small_net()
+        machines = [sla.sgd_as_sla(net, nc.SQUARED_ERROR, quant_config(seed=s)) for s in (1, 2)]
+        shared = fd.SampleSource.null(fd.UniformInputs(6), seed=3)
+        traces = sla.run_traces(machines, [shared, shared], 10)
+        again = fd.SampleSource.null(fd.UniformInputs(6), seed=3)
+        separate = [sla.run_trace(m, again, 10) for m in machines]
+        assert all(_same_pairs(a, b) for a, b in zip(traces, separate))
+
+    def test_needs_one_source_per_machine(self):
+        with pytest.raises(ValueError):
+            sla.run_traces([sla.constant_sla()], [], 5)
