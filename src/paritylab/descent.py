@@ -35,6 +35,15 @@ class EmptyPopulation(Exception):
     """Population gradient requested over zero samples."""
 
 
+class Diverged(Exception):
+    """A descent run ended with non-finite weights."""
+
+
+def _check_finite(w, algorithm: str, steps: int):
+    if not np.all(np.isfinite(w)):
+        raise Diverged(f"{algorithm}: non-finite weights after {steps} steps")
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -236,15 +245,17 @@ def _store(w, weight_clamp_b, quantization):
     return w
 
 
-def _acc_bit(net: NeuralNet, output, y, loss: LossKind):
+def _acc_bit(net: NeuralNet, output, y, loss: LossKind, cut=None):
     """Whether the output falls on the label's side of the decision cut: a
     bool for a float output and label, a bool array for arrays of them.
 
     The label is read where the loss compares the output with it: squared loss
     fits y itself (a +-1 label or a 0/1 bit), BCE fits the bit (1 - y) / 2.
-    For +-1 labels this is predict_label(output, ...) == y.
+    For +-1 labels this is predict_label(output, ...) == y.  ``cut`` is the
+    net's decision cut for this loss, when the caller already has it.
     """
-    cut = decision_cut(net.activation_of(net.graph.output), loss)
+    if cut is None:
+        cut = decision_cut(net.activation_of(net.graph.output), loss)
     target = (1.0 - y) / 2.0 if loss.kind == "bce" else y
     return (output >= cut) == (target >= cut)
 
@@ -288,13 +299,8 @@ def gd_step(
 
 def _gd_step_full(net, population, loss, gamma, delta, overflow_b, weight_clamp_b, quantization):
     expected, overflow_hit = _population_update(net, population, loss, overflow_b)
-    update = gamma * expected
-    w = net.weights.values - update
-    if delta is not None:
-        if isinstance(delta, WeightVector):
-            delta = delta.values
-        w = w + np.asarray(delta, dtype=np.float64)
-    w = _store(w, weight_clamp_b, quantization)
+    w = net.weights.values.copy()
+    update = _apply_update(w, expected, gamma, delta, weight_clamp_b, quantization)
     info = {
         "max_update": float(np.max(np.abs(update))) if update.size else 0.0,
         "overflow_hit": overflow_hit,
@@ -302,6 +308,7 @@ def _gd_step_full(net, population, loss, gamma, delta, overflow_b, weight_clamp_
     return net.with_weights(w), info
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite weights raise Diverged
 def gd_run(
     net: NeuralNet,
     population: Population,
@@ -342,6 +349,7 @@ def gd_run(
                     overflow_hit=info["overflow_hit"],
                 )
             )
+    _check_finite(current.weights.values, "gd", config.steps)
     return current, log
 
 
@@ -359,15 +367,37 @@ def sgd_step(
     quantization: Optional[QuantizationSpec] = None,
 ) -> NeuralNet:
     """One single-sample step: w' = w - gamma * dL/dw + delta, projected into
-    [-B, B], then quantized for storage if configured."""
+    [-B, B], then quantized for storage if configured.  This is sgd_run's
+    step, run on a copy of the net's weights."""
     x, y = sample
     grad, _ = net.gradient_array(x, y, loss)
-    w = net.weights.values - gamma * grad
+    w = net.weights.values.copy()
+    _apply_update(w, grad, gamma, delta, weight_clamp_b, quantization)
+    return net.with_weights(w)
+
+
+def _apply_update(w, grad, gamma, delta, weight_clamp_b, quantization, sel=None):
+    """The update rule of gd_step, sgd_step and sgd_run, written into the
+    weight buffer w: w - gamma * grad + delta, projected into [-B, B] and
+    quantized as configured; only on the coordinates ``sel`` when given.
+    grad is scaled in place into gamma * grad, which is returned (at sel)."""
+    update = np.multiply(grad, gamma, out=grad)
+    if isinstance(delta, WeightVector):
+        delta = delta.values
     if delta is not None:
-        if isinstance(delta, WeightVector):
-            delta = delta.values
-        w = w + np.asarray(delta, dtype=np.float64)
-    return net.with_weights(_store(w, weight_clamp_b, quantization))
+        delta = np.asarray(delta, dtype=np.float64)
+    if sel is not None:
+        touched = w[sel] - update[sel]
+        if delta is not None:
+            touched += delta[sel]
+        w[sel] = _store(touched, weight_clamp_b, quantization)
+        return update[sel]
+    w -= update
+    if delta is not None:
+        w += delta
+    if math.isfinite(weight_clamp_b) or quantization is not None:
+        w[...] = _store(w, weight_clamp_b, quantization)
+    return update
 
 
 def sgd_run(
@@ -449,54 +479,44 @@ def budgeted_step(w, grads, config: DescentConfig, seeds, t):
     return sel, _store(touched, config.weight_clamp_b, config.quantization), update
 
 
-def _sample_descent(net, w0, source, loss, config, record_steps, trainable, budget):
-    current = net.with_weights(w0)
+@np.errstate(over="ignore", invalid="ignore")  # non-finite weights raise Diverged
+def _sample_descent(net, w, source, loss, config, record_steps, trainable, budget):
+    """The loop of sgd_run and cd_run.  ``w`` is the run's own weight buffer
+    and ``grad`` its gradient buffer: each step writes both in place, and the
+    net is wrapped around w once, when the run ends."""
+    grad = np.zeros_like(w)
+    gradient = net._gradient_into(w, grad)
+    cut = decision_cut(net.activation_of(net.graph.output), loss)
     log = RunLog(algorithm="cd" if budget is not None else "sgd")
-    edges = current.graph.edges
+    edges = net.graph.edges
     if trainable is not None:
         trainable = np.asarray(trainable, dtype=np.intp)
     for t in range(1, config.steps + 1):
         x, y = source.next_sample()
-        grad, output = current.gradient_array(x, y, loss)
-        acc = bool(_acc_bit(current, output, y, loss))
+        old = w.copy() if record_steps else None
+        grad, output = gradient(net._check_x(x), y, loss)
+        acc = bool(_acc_bit(net, output, y, loss, cut))
         log.acc_bits.append(acc)
-        old = current.weights.values
         if budget is not None:
-            sel, touched, update = budgeted_step(old[None], grad[None], config, (config.seed,), t)
-            sel, touched, update = sel[0], touched[0], update[0]
-            w = old.copy()
-            w[sel] = touched
-            max_update = float(np.max(np.abs(update))) if sel.size else 0.0
+            sel, touched, update = budgeted_step(w[None], grad[None], config, (config.seed,), t)
+            sel, update = sel[0], update[0]
+            w[sel] = touched[0]
         else:
             delta = None
             if config.noise.is_active:
-                delta = config.noise.draw(
-                    _stream(config.seed, _STREAM_NOISE, t), current.n_edges
-                )
-            update = config.gamma * grad
+                delta = config.noise.draw(_stream(config.seed, _STREAM_NOISE, t), w.size)
             sel = trainable
-            if sel is None:
-                w = old - update
-                if delta is not None:
-                    w = w + delta
-                w = _store(w, config.weight_clamp_b, config.quantization)
-                max_update = float(np.max(np.abs(update))) if update.size else 0.0
-            else:
-                w = old.copy()
-                touched = w[sel] - update[sel]
-                if delta is not None:
-                    touched = touched + delta[sel]
-                w[sel] = _store(touched, config.weight_clamp_b, config.quantization)
-                max_update = float(np.max(np.abs(update[sel]))) if sel.size else 0.0
-        current = current.with_weights(w)
+            update = _apply_update(w, grad, config.gamma, delta, config.weight_clamp_b,
+                                   config.quantization, sel)
         if record_steps:
             log.steps.append(
                 StepReport(
                     t=t,
                     changed_edges=_changed(edges, old, w, idx=sel),
-                    max_update=max_update,
+                    max_update=float(np.max(np.abs(update))) if update.size else 0.0,
                     overflow_hit=False,
                     acc_bit=acc,
                 )
             )
-    return current, log
+    _check_finite(w, log.algorithm, config.steps)
+    return net.with_weights(w), log

@@ -80,6 +80,11 @@ def _int_list(values: list, where: str, low=None, high=None) -> list:
     return values
 
 
+def _at_least_one(value: int, where: str):
+    if value < 1:
+        raise SchemaError(f"{where} must be >= 1, got {value}")
+
+
 @contextmanager
 def _values_checked(where: str):
     """Report a ValueError raised while building ``where`` as a SchemaError."""
@@ -499,6 +504,7 @@ def cmd_gridparity(config: dict, ctx: RunContext) -> int:
         raise SchemaError(f"unknown loss {spec['loss']!r}")
     loss = netcore.LOSSES[spec["loss"]]
     _int_list(spec["widths"], "gridparity.widths", low=1)
+    _at_least_one(spec["n_seeds"], "gridparity.n_seeds")
     seeds = [ctx.seed + i for i in range(spec["n_seeds"])]
 
     def worker(seed):
@@ -652,13 +658,14 @@ def cmd_bounds(config: dict, ctx: RunContext) -> int:
              sla.bound_sgd(e["steps"], e["m"], e["overflow_b"], e["gamma"], e["n"],
                            e["p"], e["c_const"]))
         )
+    # the empirical block is checked and run before any file is written
+    result = _bounds_empirical(spec["empirical"], ctx.seed) if spec["empirical"] else None
     _write_csv(
         ctx.out_dir / "bounds.csv",
         ("family", "gamma", "overflow_b", "steps", "m", "n", "extra", "bound"),
         rows,
     )
-    if spec["empirical"]:
-        result = _bounds_empirical(spec["empirical"], ctx.seed)
+    if result is not None:
         _write_json(ctx.out_dir / "bounds_empirical.json", result)
     return 0
 
@@ -680,6 +687,7 @@ def _bounds_empirical(section: dict, seed: int) -> dict:
     if e["sigma2"] <= 0:
         raise SchemaError("empirical noisy-GD run needs sigma^2 > 0")
     _int_list(e["widths"], "bounds.empirical.widths", low=1)
+    _at_least_one(e["n_parities"], "bounds.empirical.n_parities")
     accs = noisy_gd_parity_accuracies(
         n=e["n"], widths=e["widths"], gamma=e["gamma"], overflow_b=e["overflow_b"],
         steps=e["steps"], sigma2=e["sigma2"], n_parities=e["n_parities"], seed=seed,
@@ -804,6 +812,9 @@ def main(argv=None) -> int:
         return code
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except descent.Diverged as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (netcore.BudgetExceeded, funcdist.TooLarge) as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)

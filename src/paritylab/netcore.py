@@ -639,10 +639,10 @@ class NeuralNet:
             return grad, float(output)
         return self._gradient_generic(x, y, loss)
 
-    def _gradient_generic(self, x, y, loss):
+    def _gradient_generic(self, x, y, loss, w=None):
         comp = _compiled(self.graph)
         gph = self.graph
-        w = self.weights.values
+        w = self.weights.values if w is None else w
         yv = np.zeros(gph.vertex_count)
         zv = np.zeros(gph.vertex_count)
         yv[gph.constant] = 1.0
@@ -674,18 +674,34 @@ class NeuralNet:
             raise DimensionMismatch(f"bad batch shapes {xs.shape}, {ys.shape}")
         return xs, ys
 
-    def _layered_backward(self, plan: _LayeredPlan, xs, ys, loss, w=None):
-        """Forward and backward on the layered plan, over one input (in,) with
-        a scalar label or a batch (rows, in) with labels (rows,), at this
-        net's weights; or, given a weight stack ``w`` (K, n_edges), over a
-        stack of inputs (K, in), row k at the weights w[k].
+    def _gradient_into(self, w, out):
+        """The sample gradient at the weight buffer w, as a function (x, y,
+        loss) -> (gradient, output) of a checked input, for a loop that
+        updates w in place.  On the layered plan it writes the gradient into
+        the buffer ``out`` through views of w and out bound once, here."""
+        plan = self._plan()
+        if plan is None:
+            return lambda x, y, loss: self._gradient_generic(x, y, loss, w)
+        w_views, g_views = plan.views(w), plan.views(out)
+
+        def gradient(x, y, loss):
+            acts, deltas, output = self._layered_backward(plan, w_views, x, y, loss)
+            _write_gradient(acts, deltas, g_views)
+            return out, output
+        return gradient
+
+    def _layered_backward(self, plan: _LayeredPlan, views, xs, ys, loss):
+        """Forward and backward on the layered plan at the weights whose
+        ``views`` (plan.views) are given: over one input (in,) with a scalar
+        label or a batch (rows, in) with labels (rows,) at a weight vector;
+        or over a stack of inputs (K, in) at a weight stack (K, n_edges), row
+        k at the weights of row k.
 
         Returns per layer the layer's inputs a (..., in) and the loss
         derivatives delta (..., out) at its pre-activations, plus the outputs.
         Layer li's weight gradient is the outer product a delta^T, in W^T's
         layout, and its bias gradient delta.
         """
-        views = plan.views(self.weights.values if w is None else w)
         a_list, z_list = [xs], []
         for (wt, b), act in zip(views, plan.acts):
             z_list.append(_in_sums(a_list[-1], wt, b))
@@ -704,12 +720,10 @@ class NeuralNet:
     def _layered_gradient(self, plan: _LayeredPlan, xs, ys, loss, w=None):
         """Gradient (..., n_edges) and outputs of one input, a batch, or a
         stack of inputs at the weight stack ``w``."""
-        acts, deltas, outputs = self._layered_backward(plan, xs, ys, loss, w)
+        views = plan.views(self.weights.values if w is None else w)
+        acts, deltas, outputs = self._layered_backward(plan, views, xs, ys, loss)
         grads = np.zeros(xs.shape[:-1] + (self.n_edges,))
-        for a, delta, (g_w, g_b) in zip(acts, deltas, plan.views(grads)):
-            np.multiply(a[..., :, None], delta[..., None, :], out=g_w)
-            if g_b is not None:
-                g_b[...] = delta
+        _write_gradient(acts, deltas, plan.views(grads))
         return grads, outputs
 
     def gradient_batch(self, xs, ys, loss: LossKind = SQUARED_ERROR):
@@ -765,7 +779,7 @@ class NeuralNet:
         grads = np.empty(weights.shape)
         outputs = np.empty(ys.shape)
         for k, (w, x, y) in enumerate(zip(weights, xs, ys)):
-            grads[k], outputs[k] = self.with_weights(w)._gradient_generic(x, y, loss)
+            grads[k], outputs[k] = self._gradient_generic(x, y, loss, w)
         return grads, outputs
 
     def population_gradient(self, xs, ys, probs, loss: LossKind = SQUARED_ERROR,
@@ -805,7 +819,8 @@ class NeuralNet:
         return expected, overflow_hit
 
     def _fused_block(self, plan, xs, ys, probs, loss, overflow_b):
-        acts, deltas, _ = self._layered_backward(plan, xs, ys, loss)
+        acts, deltas, _ = self._layered_backward(plan, plan.views(self.weights.values),
+                                                 xs, ys, loss)
         part = np.zeros(self.n_edges)
         overflow_hit = False
         for a, delta, (g_w, g_b) in zip(acts, deltas, plan.views(part)):
@@ -828,6 +843,15 @@ class NeuralNet:
 
 
 _CHUNK_ELEMS = 1 << 22  # cap per-sample gradient blocks at ~32 MB
+
+
+def _write_gradient(acts, deltas, grad_views):
+    """Write each layer's gradient through plan.views of a gradient buffer:
+    the outer product a delta^T in W^T's layout, and delta for the biases."""
+    for a, delta, (g_w, g_b) in zip(acts, deltas, grad_views):
+        np.multiply(a[..., :, None], delta[..., None, :], out=g_w)
+        if g_b is not None:
+            g_b[...] = delta
 
 
 def _outer_rows(a, delta):

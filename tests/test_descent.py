@@ -476,3 +476,200 @@ class TestBudgetedStep:
             assert [a.tobytes() for a in one] == [a[k:k + 1].tobytes()
                                                   for a in (sel, new, update)]
             assert np.all(np.abs(new[k]) <= 0.75)
+
+
+# ---------------------------------------------------------------------------
+# single-sample runs pinned byte for byte
+# ---------------------------------------------------------------------------
+
+def _pinned_net(kind):
+    rng = np.random.default_rng(4)
+    if kind == "sigmoid":
+        return nc.build_mlp(6, [5, 4], nc.SIGMOID, init="he_uniform", rng=rng)
+    if kind == "relu":
+        return nc.build_mlp(6, [8, 8], nc.RELU, out_activation=nc.SIGMOID,
+                            init="he_uniform", rng=rng)
+    if kind == "dag":
+        return make_random_dag_net(rng, n_inputs=6, n_interior=7)
+    return nc.build_monomial_net(6, 2)
+
+
+# name: (net, loss, config knobs); every case runs as SGD, top-k CD and random-k CD
+_PINNED_CASES = {
+    "sigmoid_squared_gaussian": ("sigmoid", nc.SQUARED_ERROR,
+                                 {"noise": dc.NoiseSpec.gaussian(0.01)}),
+    "relu_bce_uniform": ("relu", nc.LOGISTIC_BCE, {"noise": dc.NoiseSpec.uniform(0.05)}),
+    "sigmoid_clamp": ("sigmoid", nc.SQUARED_ERROR,
+                      {"weight_clamp_b": 0.75, "noise": dc.NoiseSpec.gaussian(0.01)}),
+    "relu_quantized": ("relu", nc.LOGISTIC_BCE, {"quantization": nc.QuantizationSpec(8, 4)}),
+    "per_vertex": ("dag", nc.SQUARED_ERROR, {"noise": dc.NoiseSpec.gaussian(0.01)}),
+}
+_PINNED_RUNS = [(case, algo) for case in _PINNED_CASES
+                for algo in ("sgd", "cd_topk", "cd_randomk")]
+
+
+def _pinned_run(case, algo, steps=80, record_steps=False):
+    kind, loss, knobs = _PINNED_CASES[case]
+    net = _pinned_net(kind)
+    src = fd.SampleSource.planted(fd.ParitySubset(6, 0b100101), fd.UniformInputs(6), seed=8)
+    if algo == "sgd":
+        cfg = dc.DescentConfig(gamma=0.3, steps=steps, seed=6, **knobs)
+        return dc.sgd_run(net, src, loss, cfg, record_steps=record_steps)
+    cfg = dc.DescentConfig(gamma=0.3, steps=steps, seed=6, coord_budget=3,
+                           coord_rule=algo[3:], **knobs)
+    return dc.cd_run(net, src, loss, cfg, record_steps=record_steps)
+
+
+def _readout_run(record_steps=False):
+    net = _pinned_net("monomial")
+    readout = [net.graph.edge_index()[e] for _, e in nc.monomial_readout_edges(net)]
+    src = fd.SampleSource.planted(fd.ParitySubset(6, 0b000110), fd.UniformInputs(6), seed=8)
+    cfg = dc.DescentConfig(gamma=0.03, steps=80, seed=6, noise=dc.NoiseSpec.gaussian(1e-4))
+    return dc.sgd_run(net, src, nc.SQUARED_ERROR, cfg, record_steps=record_steps,
+                      trainable=readout)
+
+
+def _run_digest(final, log):
+    digest = hashlib.sha256(final.weights.values.tobytes())
+    digest.update(np.array(log.acc_bits, dtype=bool).tobytes())
+    digest.update(json.dumps([r.to_json() for r in log.steps]).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedSingleSampleRuns:
+    """Final weights, accuracy bits and step reports, pinned before the
+    single-sample loop updated one weight buffer in place."""
+
+    PINNED = {
+        "sigmoid_squared_gaussian/sgd":
+            "5f599672d9b5627b96b6cd92e348c40496d699ee407246dfb2c63b09dfee2c54",
+        "sigmoid_squared_gaussian/cd_topk":
+            "5a7e26859314126d9cd48344ef0d3916dd558e59bafb79e219792d925d4e6cfc",
+        "sigmoid_squared_gaussian/cd_randomk":
+            "33903e32692275a4af2f7907c243d20f3e8827044286fb3bad292558be16b2b1",
+        "relu_bce_uniform/sgd":
+            "5609a75600c1593a20753043cccc039e23982a576cdf7ad4b078cf426bd5ab2d",
+        "relu_bce_uniform/cd_topk":
+            "b067c1aaea87ae87a31d272745a65567151f084c84e8f9ac62c4a7bbe1686161",
+        "relu_bce_uniform/cd_randomk":
+            "90918db9c8042a257592e2106b6df1e955e3a860a6a0fddabb33a42a5899dce5",
+        "sigmoid_clamp/sgd":
+            "c3a5194a62cda38c9d3ac3faa16bccadae5af7e8936e4ccb7bb9174c485afc0f",
+        "sigmoid_clamp/cd_topk":
+            "e7e53c7d26df7c887b979aa998dbfb2fc4f28ecec7d119b6a971235a035522f9",
+        "sigmoid_clamp/cd_randomk":
+            "b9c3098e9db7a9108c39619032742b8a66291e2ba7dc80b625f2fa4868065052",
+        "relu_quantized/sgd":
+            "489dae8c0da3ac0c337c08e2687bb63c2b9b0865112cb11a76d808767ef288ba",
+        "relu_quantized/cd_topk":
+            "bd0d64f5800ac4cfa45a3e99036614d166727eaba5c0066e9ad7a827e85df283",
+        "relu_quantized/cd_randomk":
+            "4a643f350690d01ea25c4a59f4b1b0b0ffd69d5dd049c07198fcca573a160d1a",
+        "per_vertex/sgd":
+            "75c4021c172066080e36f904eef210191969343ac765e066f82976653695dfbb",
+        "per_vertex/cd_topk":
+            "9f8f363d956c17d1cc5cb8758e985e8ac0897b915a36fae092c0431fcf98bdf4",
+        "per_vertex/cd_randomk":
+            "a50164fcf1b66eac5cb9a13cb9ac810ef32c13201d42591c5bf74527c8dcf29b",
+        "monomial_readout/sgd":
+            "eeab5e9d5d3e086bd572ed1b5b76ed3c7ef4ce03a93a72b28ecb4e22eb86a5c8",
+        "sigmoid_clamp/sgd/steps":
+            "6ac5d269be234d07f663ff3af61a3a345199b2f2530a3a01b2c5c22e7c0c5de4",
+        "relu_bce_uniform/cd_topk/steps":
+            "cfebff23e3238a4b27bc00c229d2c56edb3399099e4f20981b167a0478c36c2f",
+    }
+
+    @pytest.mark.parametrize("case, algo", _PINNED_RUNS)
+    def test_run(self, case, algo):
+        assert _run_digest(*_pinned_run(case, algo)) == self.PINNED[f"{case}/{algo}"]
+
+    def test_cases_cover_both_gradient_paths(self):
+        assert _pinned_net("sigmoid")._plan() is not None
+        assert _pinned_net("relu")._plan() is not None
+        assert _pinned_net("dag")._plan() is None
+        assert _pinned_net("monomial")._plan() is None
+
+    def test_trainable_readout(self):
+        assert _run_digest(*_readout_run()) == self.PINNED["monomial_readout/sgd"]
+
+    @pytest.mark.parametrize("case, algo", [("sigmoid_clamp", "sgd"),
+                                            ("relu_bce_uniform", "cd_topk")])
+    def test_step_reports(self, case, algo):
+        digest = _run_digest(*_pinned_run(case, algo, steps=30, record_steps=True))
+        assert digest == self.PINNED[f"{case}/{algo}/steps"]
+
+
+class TestOwnedWeightBuffer:
+    """The single-sample loop updates one weight buffer that it owns."""
+
+    def test_layered_run_wraps_its_weights_at_most_twice(self):
+        net = nc.build_mlp(6, [8, 8], nc.RELU, out_activation=nc.SIGMOID,
+                           init="he_uniform", rng=np.random.default_rng(1))
+        src = fd.SampleSource.planted(fd.ParitySubset(6, 0b101), fd.UniformInputs(6), seed=2)
+        cfg = dc.DescentConfig(gamma=0.1, steps=200, noise=dc.NoiseSpec.gaussian(0.01),
+                               seed=3)
+        with mock.patch.object(nc.NeuralNet, "with_weights", autospec=True,
+                               side_effect=nc.NeuralNet.with_weights) as wrap:
+            dc.sgd_run(net, src, nc.SQUARED_ERROR, cfg, record_steps=False)
+        assert wrap.call_count <= 2
+
+    @pytest.mark.parametrize("case, algo", _PINNED_RUNS)
+    def test_callers_net_untouched_and_result_read_only(self, case, algo):
+        net = _pinned_net(_PINNED_CASES[case][0])
+        values = net.weights.values
+        before = values.tobytes()
+        with mock.patch(f"{__name__}._pinned_net", return_value=net):
+            final, _ = _pinned_run(case, algo, steps=20)
+        assert net.weights.values is values and values.tobytes() == before
+        assert not values.flags.writeable
+        assert not final.weights.values.flags.writeable
+        assert not np.shares_memory(final.weights.values, values)
+
+    @pytest.mark.parametrize("case, algo", _PINNED_RUNS)
+    def test_runs_from_one_net_do_not_alias(self, case, algo):
+        net = _pinned_net(_PINNED_CASES[case][0])
+        with mock.patch(f"{__name__}._pinned_net", return_value=net):
+            (a, log_a), (b, log_b) = _pinned_run(case, algo), _pinned_run(case, algo)
+        assert a.weights.values.tobytes() == b.weights.values.tobytes()
+        assert log_a.acc_bits == log_b.acc_bits
+        assert not np.shares_memory(a.weights.values, b.weights.values)
+
+    @pytest.mark.parametrize("case", list(_PINNED_CASES))
+    def test_sgd_step_is_step_one_of_sgd_run(self, case):
+        kind, loss, knobs = _PINNED_CASES[case]
+        net = _pinned_net(kind)
+        cfg = dc.DescentConfig(gamma=0.3, steps=1, seed=6, **knobs)
+        src = fd.SampleSource.planted(fd.ParitySubset(6, 0b100101), fd.UniformInputs(6), seed=8)
+        run, _ = dc.sgd_run(net, src, loss, cfg)
+        sample = fd.SampleSource.planted(fd.ParitySubset(6, 0b100101), fd.UniformInputs(6),
+                                         seed=8).next_sample()
+        delta = None
+        if cfg.noise.is_active:
+            delta = cfg.noise.draw(dc._stream(cfg.seed, dc._STREAM_NOISE, 1), net.n_edges)
+        step = dc.sgd_step(net.with_weights(dc.prepare_initial_weights(net, cfg)), sample,
+                           loss, cfg.gamma, cfg.weight_clamp_b, delta, cfg.quantization)
+        assert step.weights.values.tobytes() == run.weights.values.tobytes()
+
+
+class TestDiverged:
+    @pytest.mark.parametrize("algorithm", ["sgd", "cd"])
+    def test_sample_runs_raise(self, algorithm):
+        net = nc.build_mlp(6, [8], nc.RELU, init="he_uniform", rng=np.random.default_rng(0))
+        src = fd.SampleSource.planted(fd.ParitySubset(6, 0b11), fd.UniformInputs(6), seed=1)
+        budget = 3 if algorithm == "cd" else None
+        cfg = dc.DescentConfig(gamma=1e308, steps=50, coord_budget=budget)
+        run = dc.cd_run if algorithm == "cd" else dc.sgd_run
+        with pytest.raises(dc.Diverged, match=f"^{algorithm}: non-finite weights after 50 steps"):
+            run(net, src, nc.SQUARED_ERROR, cfg, record_steps=False)
+
+    def test_gd_run_raises(self):
+        net = one_edge_identity(w=1.0)
+        cfg = dc.DescentConfig(gamma=1e308, steps=5)
+        with pytest.raises(dc.Diverged, match="^gd: non-finite weights after 5 steps"):
+            dc.gd_run(net, singleton_population(x=3.0, y=0.0), nc.SQUARED_ERROR, cfg)
+
+    def test_finite_large_steps_pass(self):
+        net = one_edge_identity(w=1.0)
+        cfg = dc.DescentConfig(gamma=1e3, steps=3)
+        final, _ = dc.gd_run(net, singleton_population(), nc.SQUARED_ERROR, cfg)
+        assert np.all(np.isfinite(final.weights.values))

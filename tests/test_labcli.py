@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -159,6 +160,49 @@ class TestSchemaAndExitCodes:
         assert labcli.main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and where in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command, parameters, where", [
+        ("gridparity", {"grid_k": 2, "widths": [4], "epochs": 1, "train_count": 5,
+                        "test_count": 5, "n_seeds": 0}, "gridparity.n_seeds"),
+        ("bounds", {"empirical": {"n": 4, "widths": [3], "steps": 2, "sigma2": 0.5,
+                                  "n_parities": 0}}, "bounds.empirical.n_parities"),
+    ])
+    def test_empty_sweeps_exit_2_with_one_line(self, tmp_path, capsys, command, parameters,
+                                               where):
+        cfg = write_config(tmp_path, {"experiment": command,
+                                      "output_dir": str(tmp_path / "out"),
+                                      "parameters": parameters})
+        assert labcli.main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and where in err and "Traceback" not in err
+        assert not list((tmp_path / "out").glob("*.csv"))
+        assert not (tmp_path / "out" / "bounds_empirical.json").exists()
+
+
+class TestDivergence:
+    @staticmethod
+    def _train(tmp_path, gamma):
+        cfg = write_config(tmp_path, {
+            "experiment": "train", "seed": 0, "output_dir": str(tmp_path / "out"),
+            "parameters": {"n": 6, "function_mask": 0b101101, "algorithm": "sgd",
+                           "net": {"widths": [8], "activation": "relu"},
+                           "descent": {"gamma": gamma, "steps": 50}},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return labcli.main(["train", "--config", str(cfg)])
+
+    def test_non_finite_weights_exit_2_with_one_line(self, tmp_path, capsys):
+        assert self._train(tmp_path, 1e308) == 2
+        err = capsys.readouterr().err
+        assert err == "diverged: sgd: non-finite weights after 50 steps\n"
+        assert not (tmp_path / "out" / "net.json").exists()
+
+    def test_large_finite_step_still_succeeds(self, tmp_path):
+        assert self._train(tmp_path, 1e6) == 0
+        net = netcore.net_from_json((tmp_path / "out" / "net.json").read_text())
+        assert 1e5 < float(abs(net.weights.values).max()) < 1e300
 
 
 class TestBoundsCommand:
@@ -452,3 +496,20 @@ class TestBoundsEmpirical:
         doc = json.loads((tmp_path / "out" / "bounds_empirical.json").read_text())
         assert doc["mean_accuracy"] <= doc["bound"]
         assert len(doc["accuracies"]) == 4
+
+
+class TestGridparityPinned:
+    def test_csv_bytes(self, tmp_path):
+        # pinned before the single-sample loop updated one weight buffer in place
+        cfg = write_config(tmp_path, {
+            "experiment": "gridparity", "seed": 4, "output_dir": str(tmp_path / "out"),
+            "parameters": {"grid_k": 3, "widths": [8, 8], "epochs": 3,
+                           "train_count": 60, "test_count": 40, "n_seeds": 2},
+        })
+        assert labcli.main(["gridparity", "--config", str(cfg)]) == 0
+        digest = hashlib.sha256()
+        for name in ("gridparity_seed4.csv", "gridparity_seed5.csv",
+                     "gridparity_summary.csv"):
+            digest.update((tmp_path / "out" / name).read_bytes())
+        assert digest.hexdigest() == (
+            "481e48dc9c125e346ead2855b4bbbf41f22fa3f98ff9aa9d1cc42f77d15fe14c")
