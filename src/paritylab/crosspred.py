@@ -43,6 +43,8 @@ class PredEstimate:
     ci95_halfwidth: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 <= self.value <= 1.0:  # NaN fails too
+            raise ValueError(f"cross-predictability {self.value!r} is outside [0, 1]")
         if self.method in ("exact", "closed_form"):
             if self.trials != 0 or self.ci95_halfwidth != 0.0:
                 raise ValueError("exact estimates carry no trial count or CI")
@@ -111,6 +113,11 @@ def pred_exact(input_dist, dist: FunctionDistribution) -> PredEstimate:
         raise AssertionError(
             f"cross-predictability forms disagree: {pred_fn} vs {pred_in}"
         )
+    # rounding within that agreement can carry a Pred of 0 or 1 (a family
+    # of constants, say) just outside [0, 1]; anything further stays and fails
+    clipped = min(max(pred_fn, 0.0), 1.0)
+    if abs(pred_fn - clipped) <= 1e-12:
+        pred_fn = clipped
     return PredEstimate(value=pred_fn, method="exact")
 
 

@@ -272,13 +272,6 @@ def _changed(graph_edges, old_w, new_w, idx=None):
 # population gradient descent
 # ---------------------------------------------------------------------------
 
-def _population_update(net, population, loss, overflow_b):
-    """E[Psi_B(dL/dw)] per edge, plus whether any contribution hit the clamp."""
-    return net.population_gradient(
-        population.xs, population.ys, population.probs, loss, overflow_b
-    )
-
-
 def gd_step(
     net: NeuralNet,
     population: Population,
@@ -290,22 +283,14 @@ def gd_step(
     quantization: Optional[QuantizationSpec] = None,
 ) -> NeuralNet:
     """One exact-expectation step: w' = w - gamma * E[Psi_B(dL/dw)] + delta,
-    then projected / quantized if configured."""
-    net2, _ = _gd_step_full(
-        net, population, loss, gamma, delta, overflow_b, weight_clamp_b, quantization
+    then projected / quantized if configured.  This is gd_run's step, run on
+    a copy of the net's weights."""
+    expected, _ = net.population_gradient(
+        population.xs, population.ys, population.probs, loss, overflow_b
     )
-    return net2
-
-
-def _gd_step_full(net, population, loss, gamma, delta, overflow_b, weight_clamp_b, quantization):
-    expected, overflow_hit = _population_update(net, population, loss, overflow_b)
     w = net.weights.values.copy()
-    update = _apply_update(w, expected, gamma, delta, weight_clamp_b, quantization)
-    info = {
-        "max_update": float(np.max(np.abs(update))) if update.size else 0.0,
-        "overflow_hit": overflow_hit,
-    }
-    return net.with_weights(w), info
+    _apply_update(w, expected, gamma, delta, weight_clamp_b, quantization)
+    return net.with_weights(w)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite weights raise Diverged
@@ -316,41 +301,38 @@ def gd_run(
     config: DescentConfig,
     record_steps: bool = True,
 ):
-    """T bounded-noisy-GD steps with fresh per-step noise from the seeded stream."""
+    """T bounded-noisy-GD steps with fresh per-step noise from the seeded stream.
+
+    The run owns one weight buffer and one gradient buffer: each step writes
+    the population gradient (through the workspace NeuralNet._population_into
+    binds once) and then the update into them in place, and the net is
+    wrapped around the weights once, when the run ends."""
     if config.coord_budget is not None:
         raise ValueError("gd_run is full gradient descent; coord_budget must be None")
     w = prepare_initial_weights(net, config)
-    current = net.with_weights(w)
+    gradient = net._population_into(w, np.empty_like(w), population.xs, population.ys,
+                                    population.probs, loss, config.overflow_b)
     log = RunLog(algorithm="gd")
-    edges = current.graph.edges
+    edges = net.graph.edges
     for t in range(1, config.steps + 1):
         delta = None
         if config.noise.is_active:
-            delta = config.noise.draw(
-                _stream(config.seed, _STREAM_NOISE, t), current.n_edges
-            )
-        old = current.weights.values
-        current, info = _gd_step_full(
-            current,
-            population,
-            loss,
-            config.gamma,
-            delta,
-            config.overflow_b,
-            config.weight_clamp_b,
-            config.quantization,
-        )
+            delta = config.noise.draw(_stream(config.seed, _STREAM_NOISE, t), w.size)
+        old = w.copy() if record_steps else None
+        grad, overflow_hit = gradient()
+        update = _apply_update(w, grad, config.gamma, delta, config.weight_clamp_b,
+                               config.quantization)
         if record_steps:
             log.steps.append(
                 StepReport(
                     t=t,
-                    changed_edges=_changed(edges, old, current.weights.values),
-                    max_update=info["max_update"],
-                    overflow_hit=info["overflow_hit"],
+                    changed_edges=_changed(edges, old, w),
+                    max_update=float(np.max(np.abs(update))) if update.size else 0.0,
+                    overflow_hit=overflow_hit,
                 )
             )
-    _check_finite(current.weights.values, "gd", config.steps)
-    return current, log
+    _check_finite(w, "gd", config.steps)
+    return net.with_weights(w), log
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +359,8 @@ def sgd_step(
 
 
 def _apply_update(w, grad, gamma, delta, weight_clamp_b, quantization, sel=None):
-    """The update rule of gd_step, sgd_step and sgd_run, written into the
-    weight buffer w: w - gamma * grad + delta, projected into [-B, B] and
+    """The update rule of gd_step, gd_run, sgd_step and sgd_run, written into
+    the weight buffer w: w - gamma * grad + delta, projected into [-B, B] and
     quantized as configured; only on the coordinates ``sel`` when given.
     grad is scaled in place into gamma * grad, which is returned (at sel)."""
     update = np.multiply(grad, gamma, out=grad)

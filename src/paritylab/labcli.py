@@ -3,7 +3,8 @@
     lab <command> --config path.json [--seed N] [--out dir]
 
 Commands: xpred, train, distinguish, gridparity, phase, bounds, gen-aer.
-Every run writes a manifest before results; result files contain no
+Every run writes a manifest before results and, however it ends, records
+its status, exit code and error there; result files contain no
 timestamps, so re-running a manifest's config and seed reproduces them
 byte for byte.  Exit codes: 0 success, 2 schema error, 3 budget refusal.
 CSV outputs carry a header row and a trailing sha256 digest line.
@@ -22,6 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -162,6 +164,9 @@ class RunContext:
             "seed": seed,
             "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "finished": None,
+            "status": "running",
+            "exit_code": None,
+            "error": None,
             "design_flags": {
                 "bit_convention": "b -> 1 - 2b",
                 "aer_cycle_sampler": "uniform edge on a short cycle, uniform shortest cycle through it",
@@ -174,9 +179,18 @@ class RunContext:
     def _write_manifest(self):
         _write_json(self.out_dir / "manifest.json", self.manifest)
 
-    def finish(self):
+    def finish(self, exit_code: Optional[int], error: Optional[str] = None):
+        """Record how the run ended: status 'ok' (exit 0), 'invalid' (exit 2),
+        'refused' (exit 3), or 'crashed' (exit code None: an unexpected
+        exception, which propagates)."""
         self.manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+        self.manifest["status"] = _STATUS.get(exit_code, "crashed")
+        self.manifest["exit_code"] = exit_code
+        self.manifest["error"] = error
         self._write_manifest()
+
+
+_STATUS = {0: "ok", EXIT_SCHEMA: "invalid", EXIT_BUDGET: "refused"}
 
 
 def _threads() -> int:
@@ -789,6 +803,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    ctx = None
     try:
         top = _check_keys(
             full,
@@ -807,18 +822,22 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else top["seed"]
         out_dir = Path(args.out) if args.out else Path(top["output_dir"])
         ctx = RunContext(args.command, config_bytes, top, seed, out_dir)
-        code = COMMANDS[args.command](top["parameters"], ctx)
-        ctx.finish()
-        return code
+        code, error = COMMANDS[args.command](top["parameters"], ctx), None
     except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        code, error = EXIT_SCHEMA, f"schema error: {exc}"
     except descent.Diverged as exc:
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        code, error = EXIT_SCHEMA, f"diverged: {exc}"
     except (netcore.BudgetExceeded, funcdist.TooLarge) as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        code, error = EXIT_BUDGET, f"budget refusal: {exc}"
+    except Exception as exc:
+        if ctx is not None:
+            ctx.finish(None, f"{type(exc).__name__}: {exc}")
+        raise
+    if error is not None:
+        print(error, file=sys.stderr)
+    if ctx is not None:
+        ctx.finish(code, error)
+    return code
 
 
 if __name__ == "__main__":

@@ -46,52 +46,72 @@ class BudgetExceeded(Exception):
 # activations and losses
 # ---------------------------------------------------------------------------
 
-def _sigmoid(z):
+def _sigmoid(z, out=None, scratch=None):
     # overflow-safe: only exponentiates non-positive values.  With e =
-    # exp(-|z|) this is 1/(1+e) for z >= 0 and e/(1+e) otherwise, bit for bit,
-    # computed in one buffer (an array even for a 0-d z) with one division.
-    e = np.abs(z, out=np.empty_like(z))
+    # exp(-|z|) this is 1/(1+e) for z >= 0 and e/(1+e) otherwise, bit for bit:
+    # max(e, z >= 0) / (1+e), with one division.  e, then the result, goes in
+    # ``out`` and 1+e in ``scratch``, each allocated when not given (``out``
+    # as an array even for a 0-d z); ``out`` may be z.
+    upper = z >= 0
+    e = np.abs(z, out=np.empty_like(z) if out is None else out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    denominator = e + 1.0
-    e[z >= 0] = 1.0
+    denominator = e + 1.0 if scratch is None else np.add(e, 1.0, out=scratch)
+    np.maximum(e, upper, out=e)
     e /= denominator
     return e
 
 
+def _identity(z, out=None, scratch=None):
+    if out is None:
+        return z
+    np.copyto(out, z)
+    return out
+
+
+# f'(z, f(z)), written into ``out`` when it is given; without it, scalars
+# take Python's operators rather than a ufunc call each
+def _sigmoid_slope(z, fz, out=None):
+    if out is None:
+        return fz * (1.0 - fz)
+    return np.multiply(fz, np.subtract(1.0, fz, out=out), out=out)
+
+
+def _tanh_slope(z, fz, out=None):
+    if out is None:
+        return 1.0 - fz * fz
+    return np.subtract(1.0, np.multiply(fz, fz, out=out), out=out)
+
+
+def _relu_slope(z, fz, out=None):
+    # one-sided subgradient: derivative 0 at z == 0
+    if out is None:
+        return (z > 0).astype(np.float64)
+    return np.greater(z, 0.0, out=out)
+
+
+def _cosine_slope(z, fz, out=None):
+    if out is None:
+        return -np.sin(z)
+    return np.negative(np.sin(z, out=out), out=out)
+
+
+def _identity_slope(z, fz, out=None):
+    out = np.empty_like(z) if out is None else out
+    out[...] = 1.0
+    return out
+
+
 _ACT_TABLE = {
-    # kind: (fn, derivative-from-(z, fz), normal?, midpoint)
-    "sigmoid": (
-        lambda z: _sigmoid(np.asarray(z, dtype=np.float64)),
-        lambda z, fz: fz * (1.0 - fz),
-        True,
-        0.5,
-    ),
-    "tanh": (
-        lambda z: np.tanh(z),
-        lambda z, fz: 1.0 - fz * fz,
-        True,
-        0.0,
-    ),
-    "relu": (
-        lambda z: np.maximum(z, 0.0),
-        # one-sided subgradient: derivative 0 at z == 0
-        lambda z, fz: (z > 0).astype(np.float64),
-        False,
-        0.0,
-    ),
-    "cosine": (
-        lambda z: np.cos(z),
-        lambda z, fz: -np.sin(z),
-        False,
-        0.0,
-    ),
-    "identity": (
-        lambda z: np.asarray(z, dtype=np.float64),
-        lambda z, fz: np.ones_like(np.asarray(z, dtype=np.float64)),
-        False,
-        0.0,
-    ),
+    # kind: (f(z, out, scratch), f'(z, f(z), out), normal?, midpoint); f writes
+    # into ``out`` when it is given
+    "sigmoid": (_sigmoid, _sigmoid_slope, True, 0.5),
+    "tanh": (lambda z, out=None, scratch=None: np.tanh(z, out=out), _tanh_slope, True, 0.0),
+    "relu": (lambda z, out=None, scratch=None: np.maximum(z, 0.0, out=out), _relu_slope,
+             False, 0.0),
+    "cosine": (lambda z, out=None, scratch=None: np.cos(z, out=out), _cosine_slope,
+               False, 0.0),
+    "identity": (_identity, _identity_slope, False, 0.0),
 }
 
 
@@ -105,15 +125,18 @@ class Activation:
         if self.kind not in _ACT_TABLE:
             raise ValueError(f"unknown activation kind: {self.kind!r}")
 
-    def __call__(self, z):
-        return _ACT_TABLE[self.kind][0](np.asarray(z, dtype=np.float64))
+    def __call__(self, z, out=None, scratch=None):
+        """f(z); written into ``out`` when given, with ``scratch`` (same shape
+        as z) as the sigmoid's work buffer."""
+        return _ACT_TABLE[self.kind][0](np.asarray(z, dtype=np.float64), out, scratch)
 
-    def derivative(self, z, value=None):
-        """d f / d z, optionally reusing the already-computed value f(z)."""
+    def derivative(self, z, value=None, out=None):
+        """d f / d z, optionally reusing the already-computed value f(z);
+        written into ``out`` when given."""
         z = np.asarray(z, dtype=np.float64)
         if value is None:
             value = self(z)
-        return _ACT_TABLE[self.kind][1](z, value)
+        return _ACT_TABLE[self.kind][1](z, value, out)
 
     @property
     def is_normal(self) -> bool:
@@ -787,14 +810,24 @@ class NeuralNet:
         """E_p[Psi_B(dL/dw)] over a weighted batch, plus whether any entry of
         any per-sample gradient exceeded B in absolute value.
 
-        Psi_B clamps each per-sample gradient entry to [-B, B].  No per-sample
-        gradient matrix is built for the rows where Psi_B cannot fire: on the
-        layered plan a row's gradient in one layer is a delta^T (and delta for
-        the bias), so those rows reduce to one GEMM per layer, a^T (p delta).
-        Only the rows that fail the test of ``_rows_beyond`` are materialized
-        and clamped.  Nets without a layered plan materialize every row.  Rows
-        go in blocks of at most _CHUNK_ELEMS per-sample gradient entries.
+        Psi_B clamps each per-sample gradient entry to [-B, B].  On the
+        layered plan no per-sample gradient matrix is built for the rows
+        where Psi_B cannot fire: a row's gradient in one layer is a delta^T
+        (and delta for the bias), so those rows reduce to one GEMM per layer,
+        a^T (p delta), and only the other rows are materialized and clamped
+        (see _PopulationWorkspace).  Nets without a layered plan materialize
+        every row.  Rows go in blocks of at most _CHUNK_ELEMS per-sample
+        gradient entries.
         """
+        gradient = self._population_into(self.weights.values, np.empty(self.n_edges),
+                                         xs, ys, probs, loss, overflow_b)
+        return gradient()
+
+    def _population_into(self, w, out, xs, ys, probs, loss, overflow_b):
+        """The population gradient at the weight buffer w, as a function () ->
+        (E_p[Psi_B(dL/dw)], overflow hit) that writes it into the buffer
+        ``out``, for a loop that updates w in place.  The population is
+        checked, and on the layered plan bound to a workspace, once, here."""
         xs, ys = self._check_batch(xs, ys)
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != ys.shape:
@@ -802,47 +835,30 @@ class NeuralNet:
         if not overflow_b > 0:
             raise ValueError("clamp range must be positive")
         plan = self._plan()
-        expected = np.zeros(self.n_edges)
-        overflow_hit = False
-        rows = max(1, _CHUNK_ELEMS // max(1, self.n_edges))
-        for lo in range(0, xs.shape[0], rows):
-            block = slice(lo, lo + rows)
-            if plan is None:
-                grads, _ = self.gradient_batch(xs[block], ys[block], loss)
-                part, hit = _clamped_sum(probs[block], grads, overflow_b)
-            else:
-                part, hit = self._fused_block(
-                    plan, xs[block], ys[block], probs[block], loss, overflow_b
-                )
-            expected += part
-            overflow_hit = overflow_hit or hit
-        return expected, overflow_hit
+        if plan is not None:
+            workspace = _PopulationWorkspace(self, plan, w, xs, ys, probs, loss, overflow_b)
+            return lambda: (out, workspace(out))
 
-    def _fused_block(self, plan, xs, ys, probs, loss, overflow_b):
-        acts, deltas, _ = self._layered_backward(plan, plan.views(self.weights.values),
-                                                 xs, ys, loss)
-        part = np.zeros(self.n_edges)
-        overflow_hit = False
-        for a, delta, (g_w, g_b) in zip(acts, deltas, plan.views(part)):
-            if g_b is not None:
-                # a bias is the weight of one more input, fixed at 1
-                a = np.hstack([a, np.ones((a.shape[0], 1))])
-            beyond = _rows_beyond(a, delta, overflow_b)
-            within = slice(None) if beyond is None else ~beyond
-            g = a[within].T @ (probs[within, None] * delta[within])
-            if beyond is not None:
-                s, hit = _clamped_sum(
-                    probs[beyond], _outer_rows(a[beyond], delta[beyond]), overflow_b
-                )
-                g += s.reshape(g.shape)
+        def gradient():
+            net = self.with_weights(w)
+            out[...] = 0.0
+            overflow_hit = False
+            for block in _row_blocks(xs.shape[0], self.n_edges):
+                grads, _ = net.gradient_batch(xs[block], ys[block], loss)
+                part, hit = _clamped_sum(probs[block], grads, overflow_b)
+                out[...] += part
                 overflow_hit = overflow_hit or hit
-            g_w[...] = g[:g_w.shape[0]]
-            if g_b is not None:
-                g_b[...] = g[-1]
-        return part, overflow_hit
+            return out, overflow_hit
+        return gradient
 
 
 _CHUNK_ELEMS = 1 << 22  # cap per-sample gradient blocks at ~32 MB
+
+
+def _row_blocks(n_rows, n_edges):
+    """Slices of at most _CHUNK_ELEMS // n_edges rows (at least one) covering n_rows."""
+    rows = max(1, _CHUNK_ELEMS // max(1, n_edges))
+    return [slice(lo, lo + rows) for lo in range(0, n_rows, rows)]
 
 
 def _write_gradient(acts, deltas, grad_views):
@@ -875,22 +891,161 @@ def _clamped_sum(probs, grads, b):
     return probs @ clamp_psi(grads, b), hit
 
 
-def _rows_beyond(a, delta, b):
-    """Mask of the rows whose outer product delta_b a_b^T may have an entry
-    beyond b, or None when no row's can.
+class _PopulationWorkspace:
+    """E_p[Psi_B(dL/dw)] of a layered net over one fixed weighted population,
+    at the weights of a buffer w that the caller updates in place: the
+    buffers of every step of a run, bound once.
 
-    A row is within b when max|delta_b| * max|a_b| <= b: float rounding is
-    monotone, so no product delta_j a_i of that row exceeds b.  The whole
-    block is tested first, with one reduction per factor.  NaN fails the test.
+    Each call writes the forward pass, the backward pass, the clamp test and
+    the per-layer GEMMs into buffers allocated here for the largest block of
+    rows; only the few rows the clamp may hit are materialized anew.  The
+    products keep the row-major operands of the plain batch code, a (rows,
+    in) and delta (rows, out), since OpenBLAS's bits depend on the operand
+    layout.  The clamp test takes its per-row maxima over a feature-major
+    (width, rows) copy, along contiguous memory.
+
+    Per layer there is a buffer of pre-activations, overwritten by the
+    deltas, and one of activations.  A layer with biases takes its gradient
+    from its input [a, 1], a buffer whose column of ones is written once;
+    layer 0's holds the population's inputs, loaded once when the
+    population is one block.
     """
-    if not math.isfinite(b):
-        return None
-    a_abs, d_abs = np.abs(a), np.abs(delta)
-    if np.max(d_abs, initial=0.0) * np.max(a_abs, initial=0.0) <= b:
-        return None
-    bound = np.max(d_abs, axis=1, initial=0.0) * np.max(a_abs, axis=1, initial=0.0)
-    beyond = ~(bound <= b)
-    return beyond if beyond.any() else None
+
+    def __init__(self, net, plan, w, xs, ys, probs, loss, overflow_b):
+        self.net, self.plan, self.loss, self.overflow_b = net, plan, loss, overflow_b
+        self.xs, self.ys, self.probs = xs, ys, probs
+        self.views = plan.views(w)
+        self.blocks = _row_blocks(xs.shape[0], net.n_edges)
+        rows = min(xs.shape[0], self.blocks[0].stop)
+        fans = [shape for _, shape, _ in plan.blocks]
+        self.z = [np.empty((rows, fan_out)) for _, fan_out in fans]
+        self.f = [np.empty((rows, fan_out)) for _, fan_out in fans]
+        self.a1 = [None if b_slice is None else np.ones((rows, fan_in + 1))
+                   for _, (fan_in, _), b_slice in plan.blocks]
+        self.g = [np.empty((fan_in + (a1 is not None), fan_out))
+                  for (fan_in, fan_out), a1 in zip(fans, self.a1)]
+        self.part = np.empty(net.n_edges)
+        self.part_views = plan.views(self.part)
+        width = 1 + max(max(shape) for shape in fans)
+        self.scratch = np.empty(rows * width)
+        self.gather = np.empty(rows * width)
+        self.row_max = np.empty((3, rows))
+        self.within = np.empty(rows, dtype=bool)
+        self.loaded = None
+
+    def __call__(self, out):
+        """Write E_p[Psi_B(dL/dw)] into ``out``; return whether any per-sample
+        gradient entry exceeded B."""
+        out[...] = 0.0
+        overflow_hit = False
+        for block in self.blocks:
+            hit = self._block(block)
+            out += self.part
+            overflow_hit = overflow_hit or hit
+        return overflow_hit
+
+    def _scratch(self, *shape, buffer=None):
+        """A C-contiguous array of this shape at the head of the scratch (or
+        of ``buffer``)."""
+        flat = self.scratch if buffer is None else buffer
+        return flat[:math.prod(shape)].reshape(shape)
+
+    def _row_max_abs(self, a, out):
+        """max_j |a_ij| per row i, taken along the rows of a feature-major copy."""
+        t = self._scratch(a.shape[1], a.shape[0])
+        np.copyto(t, a.T)
+        np.abs(t, out=t)
+        return np.max(t, axis=0, out=out[:a.shape[0]], initial=0.0)
+
+    def _load(self, block, xs):
+        """Layer 0's gradient input [x, 1] (x without biases) for the block's
+        rows and, when B is finite, its per-row max|.| in row_max[2]: the
+        population never changes, so a population of one block loads once."""
+        x1 = xs if self.a1[0] is None else self.a1[0][:xs.shape[0]]
+        if self.loaded != block.start:
+            if x1 is not xs:
+                x1[:, :-1] = xs
+            if math.isfinite(self.overflow_b):
+                self._row_max_abs(x1, self.row_max[2])
+            self.loaded = block.start
+        return x1
+
+    def _block(self, block):
+        xs = self.xs[block]
+        m = xs.shape[0]
+        views, acts = self.views, self.plan.acts
+        zs = [z[:m] for z in self.z]
+        fs = [f[:m] for f in self.f]
+        ins = [self._load(block, xs)] + fs[:-1]
+        for (wt, b), act, a, z, f in zip(views, acts, [xs] + fs, zs, fs):
+            np.dot(a, wt, out=z)
+            if b is not None:
+                z += b
+            act(z, f, self._scratch(*z.shape))
+        z_out = zs[-1][:, 0]
+        z_out[...] = self.net._output_delta(fs[-1][:, 0], self.ys[block], self.loss, z_out)
+        for li in range(len(acts) - 1, 0, -1):
+            # layer li - 1's delta, (delta W) * f'(z), over its pre-activations
+            z = zs[li - 1]
+            d = acts[li - 1].derivative(z, fs[li - 1], self._scratch(*z.shape))
+            np.dot(zs[li], views[li][0].T, out=z)
+            np.multiply(z, d, out=z)
+        probs = self.probs[block]
+        overflow_hit = False
+        for li, (a, a1, delta, g, (g_w, g_b)) in enumerate(
+            zip(ins, self.a1, zs, self.g, self.part_views)
+        ):
+            if li == 0:
+                a_max = self.row_max[2][:m]
+            elif a1 is None:
+                a_max = None
+            else:
+                a1 = a1[:m]
+                a1[:, :-1] = a
+                a = a1
+                # [sigmoid(z), 1] has max|.| 1, or NaN where z is, and then
+                # that row's delta is NaN too
+                a_max = 1.0 if acts[li - 1].kind == "sigmoid" else None
+            within = self._rows_within(a, delta, a_max)
+            if within is None:
+                a_in = a
+                pd = np.multiply(probs[:, None], delta, out=self._scratch(*delta.shape))
+            else:
+                rows = np.flatnonzero(within)
+                a_in = np.take(a, rows, axis=0, mode="clip",
+                               out=self._scratch(rows.size, a.shape[1], buffer=self.gather))
+                pd = np.take(delta, rows, axis=0, mode="clip",
+                             out=self._scratch(rows.size, delta.shape[1]))
+                np.multiply(probs[rows, None], pd, out=pd)
+            np.matmul(a_in.T, pd, out=g)
+            if within is not None:
+                rows = np.flatnonzero(~within)
+                s, hit = _clamped_sum(probs[rows], _outer_rows(a[rows], delta[rows]),
+                                      self.overflow_b)
+                g += s.reshape(g.shape)
+                overflow_hit = overflow_hit or hit
+            g_w[...] = g[:g_w.shape[0]]
+            if g_b is not None:
+                g_b[...] = g[-1]
+        return overflow_hit
+
+    def _rows_within(self, a, delta, a_max=None):
+        """Mask of the rows whose outer product delta_i a_i^T has no entry
+        beyond B, or None when that holds for every row.
+
+        A row is within B when max|delta_i| * max|a_i| <= B: float rounding is
+        monotone, so no product delta_j a_k of that row exceeds B.  NaN fails
+        the test.  ``a_max`` is max|a_i| per row (or of every row) when
+        already known.
+        """
+        if not math.isfinite(self.overflow_b):
+            return None
+        bound = self._row_max_abs(delta, self.row_max[0])
+        if a_max is None:
+            a_max = self._row_max_abs(a, self.row_max[1])
+        np.multiply(bound, a_max, out=bound)
+        within = np.less_equal(bound, self.overflow_b, out=self.within[:bound.size])
+        return None if within.all() else within
 
 
 # ---------------------------------------------------------------------------

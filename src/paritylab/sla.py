@@ -226,6 +226,7 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
     lock = threading.Lock()
     cached_w = w0.copy()
     applied: list = []  # the symbols cached_w reflects, in order
+    gradient = net._gradient_into(cached_w, np.zeros(n_e))
 
     def apply(w, symbols):
         for changed, _ in symbols:
@@ -239,6 +240,8 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
 
     def update(z, history):
         t = len(history) + 1
+        x, y = z
+        x = net._check_x(x)
         with lock:
             if len(history) < len(applied) or not all(map(operator.is_, history, applied)):
                 cached_w[:] = w0
@@ -246,16 +249,13 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
             fresh = history[len(applied):]
             apply(cached_w, fresh)
             applied.extend(fresh)
-            current = net.with_weights(cached_w)
-        x, y = z
-        grad, output = current.gradient_array(x, y, loss)
-        acc = bool(_descent._acc_bit(current, output, y, loss))
-        w = current.weights.values
-        sel, touched, _ = _descent.budgeted_step(w[None], grad[None], config, (config.seed,), t)
-        changed = tuple(
-            (int(i), float(v)) for i, v in zip(sel[0], touched[0]) if v != w[i]
-        )
-        return (changed, acc)
+            grad, output = gradient(x, y, loss)
+            sel, touched, _ = _descent.budgeted_step(cached_w[None], grad[None], config,
+                                                     (config.seed,), t)
+            changed = tuple(
+                (int(i), float(v)) for i, v in zip(sel[0], touched[0]) if v != cached_w[i]
+            )
+        return (changed, bool(_descent._acc_bit(net, output, y, loss)))
 
     return SlaStateMachine(
         alphabet_size=alphabet,

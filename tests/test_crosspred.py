@@ -248,6 +248,24 @@ class TestPredEstimate:
         with pytest.raises(ValueError):
             cp.PredEstimate(value=0.5, method="exact", trials=10)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-300,
+                                       1.0000000000000002, 2.0])
+    @pytest.mark.parametrize("method", ["exact", "closed_form", "monte_carlo"])
+    def test_value_outside_unit_interval_raises(self, value, method):
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            cp.PredEstimate(value=value, method=method)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 0.5, 1.0])
+    def test_unit_interval_endpoints_accepted(self, value):
+        assert cp.PredEstimate(value=value, method="exact").value == value
+
+    def test_exact_rounding_above_one_is_one(self):
+        # nine constants at 1/9 over nine inputs: the weighted sums round to
+        # 1 + 2^-52, inside the 1e-12 agreement of the two forms
+        dist = fd.Explicit(tuple((fd.ConstPlus(3), 1.0 / 9) for _ in range(9)))
+        xs = 1.0 - 2.0 * ((np.arange(9)[:, None] >> np.arange(3)[None, :]) & 1)
+        assert cp.pred_exact(fd.FiniteInputs(xs), dist).value == 1.0
+
     def test_json_shape(self):
         est = cp.PredEstimate(value=0.25, method="monte_carlo", trials=100,
                               ci95_halfwidth=0.01)

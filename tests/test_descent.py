@@ -393,8 +393,8 @@ class TestNoiseStreams:
         # contributions entering the update are clamped even for huge gradients
         net = one_edge_identity(w=100.0)
         population = dc.Population.from_samples([(np.array([50.0]), 0.0)])
-        expected, overflow = dc._population_update(net, population,
-                                                   nc.SQUARED_ERROR, 1.0)
+        expected, overflow = net.population_gradient(population.xs, population.ys,
+                                                     population.probs, nc.SQUARED_ERROR, 1.0)
         assert overflow
         assert np.max(np.abs(expected)) <= 1.0
 
@@ -673,3 +673,83 @@ class TestDiverged:
         cfg = dc.DescentConfig(gamma=1e3, steps=3)
         final, _ = dc.gd_run(net, singleton_population(), nc.SQUARED_ERROR, cfg)
         assert np.all(np.isfinite(final.weights.values))
+
+
+# ---------------------------------------------------------------------------
+# population GD runs pinned byte for byte
+# ---------------------------------------------------------------------------
+
+def _pinned_gd_net(kind):
+    rng = np.random.default_rng(9)
+    if kind == "sigmoid":
+        return nc.build_mlp(8, [16], nc.SIGMOID, init="he_uniform", rng=rng)
+    if kind == "two_hidden":
+        return nc.build_mlp(8, [8, 4], nc.SIGMOID, init="he_uniform", rng=rng)
+    if kind == "relu":
+        return nc.build_mlp(8, [12], nc.RELU, out_activation=nc.SIGMOID,
+                            init="he_uniform", rng=rng)
+    return make_random_dag_net(rng, n_inputs=8, n_interior=7)
+
+
+# name: (net, loss, config knobs); each B fires on some rows of the first step
+_PINNED_GD_CASES = {
+    "sigmoid_gaussian": ("sigmoid", nc.SQUARED_ERROR,
+                         {"overflow_b": 0.3, "noise": dc.NoiseSpec.gaussian(0.01)}),
+    "sigmoid_clamp_quantized": ("sigmoid", nc.SQUARED_ERROR,
+                                {"overflow_b": 0.3, "weight_clamp_b": 0.75,
+                                 "quantization": nc.QuantizationSpec(8, 4),
+                                 "noise": dc.NoiseSpec.gaussian(0.01)}),
+    "two_hidden": ("two_hidden", nc.SQUARED_ERROR,
+                   {"overflow_b": 0.5, "noise": dc.NoiseSpec.gaussian(0.01)}),
+    "relu_bce_uniform": ("relu", nc.LOGISTIC_BCE,
+                         {"overflow_b": 1.0, "noise": dc.NoiseSpec.uniform(0.05)}),
+    "per_vertex": ("dag", nc.SQUARED_ERROR,
+                   {"overflow_b": 0.3, "noise": dc.NoiseSpec.gaussian(0.01)}),
+}
+
+
+def _pinned_gd_run(case, record_steps=True, steps=40):
+    kind, loss, knobs = _PINNED_GD_CASES[case]
+    population = dc.Population.uniform_grid(8, fd.ParitySubset(8, 0b10110101).evaluate_batch)
+    cfg = dc.DescentConfig(gamma=0.5, steps=steps, seed=6, **knobs)
+    return dc.gd_run(_pinned_gd_net(kind), population, loss, cfg, record_steps=record_steps)
+
+
+class TestPinnedGdRuns:
+    """Final weights and step reports of population GD, pinned before gd_run
+    updated one weight buffer through one population workspace."""
+
+    PINNED = {
+        "sigmoid_gaussian":
+            "da5132f64013fe96b494fed4b0e685b83dd9ae55feb6538bdd03d4f19b6320dd",
+        "sigmoid_clamp_quantized":
+            "4f864106c4102e7cc7a0b1e9a6f5cd54df4465b44c7412694edaaa5e2c4198e5",
+        "two_hidden":
+            "375eae10ca1527fed7990541226102985d55d4ba9e4ba77beeaa8410b3d52771",
+        "relu_bce_uniform":
+            "2bba5900473fd5ca6682ec5a472db8c3e77082f99311869e2c86346327e506dc",
+        "per_vertex":
+            "acca22eca8cf402fcd3607ad1e3112358acc20bdc0e2f249c7c8831f6fe20acf",
+        "sigmoid_gaussian/blocks":
+            "f0c22cb35ac50f99301dbce4adfefd8d65b6f61bd196632bfe21de4157094aef",
+    }
+
+    @pytest.mark.parametrize("case", list(_PINNED_GD_CASES))
+    def test_run(self, case):
+        final, log = _pinned_gd_run(case)
+        assert _run_digest(final, log) == self.PINNED[case]
+        hits = [r.overflow_hit for r in log.steps]
+        assert any(hits) and len(log.steps) == 40
+        quiet, _ = _pinned_gd_run(case, record_steps=False)
+        assert quiet.weights.values.tobytes() == final.weights.values.tobytes()
+
+    def test_population_in_blocks(self):
+        # 161 edges, so blocks of 50 rows: the 256-row grid in 6 blocks
+        with mock.patch.object(nc, "_CHUNK_ELEMS", 161 * 50):
+            digest = _run_digest(*_pinned_gd_run("sigmoid_gaussian"))
+        assert digest == self.PINNED["sigmoid_gaussian/blocks"]
+
+    def test_cases_cover_both_gradient_paths(self):
+        assert _pinned_gd_net("sigmoid").n_edges == 161
+        assert _pinned_gd_net("two_hidden")._plan() is not None
+        assert _pinned_gd_net("dag")._plan() is None

@@ -4,7 +4,6 @@ import warnings
 
 import pytest
 
-from paritylab import descent
 from paritylab import funcdist as fd
 from paritylab import labcli
 from paritylab import netcore
@@ -39,6 +38,7 @@ class TestXpred:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config_digest"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
         assert manifest["finished"] is not None
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == ("ok", 0, None)
 
     def test_monte_carlo_route(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -93,6 +93,36 @@ class TestSchemaAndExitCodes:
                            "method": "exact"},
         })
         assert labcli.main(["xpred", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("parameters, code, status, error", [
+        ({"distribution": {"kind": "parity_uniform", "n": -3}}, 2, "invalid",
+         "schema error: bad value in distribution"),
+        ({"distribution": {"kind": "parity_uniform", "n": 16}, "method": "exact"}, 3,
+         "refused", "budget refusal: "),
+    ])
+    def test_failed_run_leaves_manifest_with_status(self, tmp_path, parameters, code,
+                                                    status, error):
+        cfg = write_config(tmp_path, {"experiment": "xpred", "parameters": parameters,
+                                      "output_dir": str(tmp_path / "out")})
+        assert labcli.main(["xpred", "--config", str(cfg)]) == code
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == status and manifest["exit_code"] == code
+        assert manifest["error"].startswith(error)
+        assert manifest["finished"] is not None
+
+    def test_crash_leaves_manifest_with_status(self, tmp_path, monkeypatch):
+        def broken(parameters, ctx):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(labcli.COMMANDS, "xpred", broken)
+        cfg = write_config(tmp_path, {"experiment": "xpred",
+                                      "output_dir": str(tmp_path / "out")})
+        with pytest.raises(RuntimeError, match="boom"):
+            labcli.main(["xpred", "--config", str(cfg)])
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "crashed" and manifest["exit_code"] is None
+        assert manifest["error"] == "RuntimeError: boom"
 
     def test_missing_config_exit_2(self, tmp_path):
         assert labcli.main(["xpred", "--config", str(tmp_path / "nope.json")]) == 2
@@ -414,15 +444,19 @@ class TestPopulationGdReproducible:
 
     def _first_run_clamps(self, tmp_path, base, monkeypatch):
         hits = []
-        update = descent._population_update
+        population_into = netcore.NeuralNet._population_into
 
         def recording(*args):
-            expected, hit = update(*args)
-            hits.append(hit)
-            return expected, hit
+            gradient = population_into(*args)
+
+            def step():
+                expected, hit = gradient()
+                hits.append(hit)
+                return expected, hit
+            return step
 
         with monkeypatch.context() as m:
-            m.setattr(descent, "_population_update", recording)
+            m.setattr(netcore.NeuralNet, "_population_into", recording)
             first = self._results(tmp_path, base, "first")
         assert any(hits)
         return first

@@ -86,6 +86,44 @@ class TestEvaluate:
         assert all(s.shape == () for s in scalars)
         assert np.array(scalars).view(np.uint64).tolist() == reference.view(np.uint64).tolist()
 
+    @staticmethod
+    def _mask_form(z):
+        # the former implementation, which stored through a boolean mask
+        e = np.abs(z, out=np.empty_like(z))
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        denominator = e + 1.0
+        e[z >= 0] = 1.0
+        e /= denominator
+        return e
+
+    @pytest.mark.parametrize("shape", [(), (1,), "2-D"])
+    @pytest.mark.parametrize("mode", ["alloc", "out", "out+scratch", "in place"])
+    def test_sigmoid_out_bits_equal_mask_form(self, shape, mode):
+        rng = np.random.default_rng(9)
+        edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 745.0, -745.0,
+                 1e308, -1e308, 5e-324, -5e-324]
+        values = np.concatenate([rng.normal(size=40), edges])
+        cases = ([values.reshape(17, 3)] if shape == "2-D"
+                 else [np.full(shape, v) for v in values])
+        for z in cases:
+            with np.errstate(invalid="ignore"):
+                reference = self._mask_form(z.copy())
+                arg = z.copy()
+                if mode == "alloc":
+                    got = nc._sigmoid(arg)
+                elif mode == "in place":
+                    got = nc._sigmoid(arg, out=arg)
+                    assert got is arg
+                else:
+                    out = np.full_like(z, 7.0)
+                    scratch = np.full_like(z, 7.0) if mode == "out+scratch" else None
+                    got = nc._sigmoid(arg, out=out, scratch=scratch)
+                    assert got is out
+                    assert arg.tobytes() == z.tobytes()
+            assert isinstance(got, np.ndarray) and got.shape == z.shape
+            assert got.tobytes() == reference.tobytes()
+
     def test_identity_linearity(self):
         g = nc.NetGraph(vertex_count=3, input_size=1, edges=((0, 2), (1, 2)),
                         constant=0, inputs=(1,), output=2)
@@ -470,6 +508,91 @@ class TestPopulationGradient:
             net.population_gradient(np.ones((4, 2)), ys, np.full(4, 0.25))
         with pytest.raises(ValueError):
             net.population_gradient(xs, ys, np.full(4, 0.25), overflow_b=0.0)
+
+
+def _row_by_row_reference(net, xs, ys, probs, loss, b):
+    """sum_i Psi_b-clamped p_i g_i, accumulated row by row from gradient_batch
+    of one row at a time, and whether any entry of any g_i exceeded b."""
+    expected = np.zeros(net.n_edges)
+    hit = False
+    for i in range(xs.shape[0]):
+        grads, _ = net.gradient_batch(xs[i:i + 1], ys[i:i + 1], loss)
+        part, row_hit = nc._clamped_sum(probs[i:i + 1], grads, b)
+        expected += part
+        hit = hit or row_hit
+    return expected, hit
+
+
+class TestPopulationWorkspaceOracle:
+    """The layered population gradient (the workspace gd_run binds) equals
+    gradient_batch + _clamped_sum bit for bit, in two regimes where the
+    reference's summation order is the workspace's: blocks of one row, with
+    power-of-two probabilities, for every activation and loss; and integer
+    arithmetic, exact in any order, for one block of many rows."""
+
+    @staticmethod
+    def _case(act, loss, seed, rows=24, n=5):
+        rng = np.random.default_rng(seed)
+        # a ReLU output would leave most rows without a gradient
+        out_act = nc.SIGMOID if loss is nc.LOGISTIC_BCE or act is nc.RELU else None
+        net = nc.build_mlp(n, [6, 3], act, out_activation=out_act)
+        net = net.with_weights(rng.uniform(-2.0, 2.0, size=net.n_edges))
+        assert net._plan() is not None
+        xs = 1.0 - 2.0 * rng.integers(0, 2, size=(rows, n)).astype(float)
+        xs *= rng.uniform(0.5, 2.0, size=(rows, n))
+        ys = 1.0 - 2.0 * rng.integers(0, 2, size=rows).astype(float)
+        probs = 2.0 ** -rng.integers(3, 9, size=rows).astype(float)
+        return net, xs, ys, probs
+
+    @staticmethod
+    def _clamp_range(grads, clamp):
+        """B idle, firing on about half the rows, or on every row whose
+        gradient is not zero (NaN rows fire at any B)."""
+        row_max = np.max(np.abs(grads), axis=1)
+        levels = np.unique(row_max[row_max > 0])
+        assert levels.size > 2
+        if clamp == "some rows":
+            return float(levels[levels.size // 2])
+        return {"idle": math.inf, "every row": float(levels[0]) / 2.0}.get(clamp, 0.5)
+
+    @staticmethod
+    def _assert_bits(got, hit, ref, ref_hit):
+        # bit for bit, but for the sign of NaN, which depends on operand order
+        assert hit == ref_hit
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == ref[~nan].tobytes()
+
+    @pytest.mark.parametrize("act", [nc.SIGMOID, nc.TANH, nc.RELU])
+    @pytest.mark.parametrize("loss", [nc.SQUARED_ERROR, nc.LOGISTIC_BCE])
+    @pytest.mark.parametrize("clamp", ["idle", "some rows", "every row", "nan row"])
+    def test_one_row_blocks(self, act, loss, clamp):
+        net, xs, ys, probs = self._case(act, loss, seed=3)
+        if clamp == "nan row":
+            xs[7, 2] = math.nan
+        b = self._clamp_range(net.gradient_batch(xs, ys, loss)[0], clamp)
+        with mock.patch.object(nc, "_CHUNK_ELEMS", net.n_edges):
+            assert len(nc._row_blocks(xs.shape[0], net.n_edges)) == xs.shape[0]
+            got, hit = net.population_gradient(xs, ys, probs, loss, b)
+        ref, ref_hit = _row_by_row_reference(net, xs, ys, probs, loss, b)
+        if clamp == "nan row":
+            assert np.all(np.isnan(got)) and np.all(np.isnan(ref))
+        self._assert_bits(got, hit, ref, ref_hit)
+
+    @pytest.mark.parametrize("clamp", ["idle", "some rows", "every row"])
+    def test_integer_arithmetic_one_block(self, clamp):
+        rng = np.random.default_rng(5)
+        net = nc.build_mlp(4, [5, 3], nc.RELU, out_activation=nc.IDENTITY)
+        net = net.with_weights(rng.integers(-3, 4, size=net.n_edges).astype(float))
+        xs = 1.0 - 2.0 * ((np.arange(16)[:, None] >> np.arange(4)[None, :]) & 1)
+        xs = np.vstack([xs, 2.0 * xs])
+        ys = 1.0 - 2.0 * rng.integers(0, 2, size=32).astype(float)
+        probs = np.full(32, 1.0 / 32)
+        grads, _ = net.gradient_batch(xs, ys, nc.SQUARED_ERROR)
+        b = self._clamp_range(grads, clamp)
+        got, hit = net.population_gradient(xs, ys, probs, nc.SQUARED_ERROR, b)
+        ref, ref_hit = nc._clamped_sum(probs, grads, b)
+        self._assert_bits(got, hit, ref + 0.0, ref_hit)
 
 
 def _stack_case(net, k_rows, seed):

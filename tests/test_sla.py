@@ -202,10 +202,11 @@ class TestSgdAsSlaCache:
         assert results == [{traces[i % 2].symbols} for i in range(4)]
 
     def test_layered_plan_derived_once_per_trace(self):
+        # the machine binds its gradient to the plan when it is built
         net = small_net()
-        machine = sla.sgd_as_sla(net, nc.SQUARED_ERROR, quant_config(steps=200))
         src = fd.SampleSource.null(fd.UniformInputs(6), seed=2)
         with mock.patch.object(nc, "_try_layered", wraps=nc._try_layered) as derive:
+            machine = sla.sgd_as_sla(net, nc.SQUARED_ERROR, quant_config(steps=200))
             sla.run_trace(machine, src, 200)
         assert derive.call_count == 1
 
