@@ -340,7 +340,9 @@ class ConstantMixture(FunctionDistribution):
 
 @dataclass(frozen=True)
 class Explicit(FunctionDistribution):
-    """An explicit finite (function, probability) list."""
+    """An explicit finite (function, probability) list.  Probabilities that
+    sum to 1 within 1e-12 are normalized by their sum, which leaves a list
+    that sums to exactly 1 as given."""
 
     items: tuple
 
@@ -354,7 +356,7 @@ class Explicit(FunctionDistribution):
         ns = {f.n for f, _ in items}
         if len(ns) != 1:
             raise ValueError("all functions must share one input size")
-        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "items", tuple((f, p / total) for f, p in items))
         object.__setattr__(self, "n", items[0][0].n)
 
     def draw(self, rng) -> FunctionId:

@@ -805,6 +805,8 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     ctx = None
     try:
+        if not isinstance(full, dict):
+            raise SchemaError("config must be a JSON object")
         top = _check_keys(
             full,
             {
@@ -835,6 +837,12 @@ def main(argv=None) -> int:
         raise
     if error is not None:
         print(error, file=sys.stderr)
+    if ctx is None:
+        # a top-level key failed; the manifest still goes to a known output
+        # directory
+        out = args.out or (full.get("output_dir") if isinstance(full, dict) else None)
+        if isinstance(out, str):
+            ctx = RunContext(args.command, config_bytes, full, args.seed, Path(out))
     if ctx is not None:
         ctx.finish(code, error)
     return code

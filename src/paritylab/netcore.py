@@ -2,14 +2,16 @@
 
 A net is a triple (activation, graph, weights).  The graph is acyclic with one
 constant vertex (value 1), input vertices, and a single output vertex;
-evaluation walks a topological order and applies the activation to each
-interior vertex's weighted in-sum.  Gradients are exact reverse-mode
-derivatives of the configured loss with respect to every edge weight.
+evaluation applies the activation to each interior vertex's weighted
+in-sum, sources first.  Gradients are exact reverse-mode derivatives of the
+configured loss with respect to every edge weight.
 
-Dense layered nets (MLPs) are recognized automatically and evaluated with
-matrix products; arbitrary DAGs fall back to a per-vertex sweep.  Both paths
-accumulate in-edge sums in ascending source-id order, so results do not depend
-on which valid topological order is requested.
+Every net runs on one level plan (_LevelPlan): its interior vertices, levelled
+by depth, each level a dense layer evaluated with matrix products.  A dense
+MLP numbered layer by layer, as build_mlp builds it, reads its weights
+through views of the edge vector; any other DAG gathers each level's sources
+(the constant, inputs, any earlier level) and scatters its weights into a
+dense block with structural zeros.
 """
 
 from __future__ import annotations
@@ -221,8 +223,8 @@ class NetGraph:
     """Acyclic digraph with constant / input / output designations.
 
     Invariants (checked at construction): no directed cycle; the constant and
-    input vertices are exactly the in-degree-0 vertices; every non-output
-    vertex has a directed path to the output.
+    input vertices are exactly the in-degree-0 vertices; the output is not
+    one of them; every non-output vertex has a directed path to the output.
     """
 
     vertex_count: int
@@ -250,6 +252,8 @@ class NetGraph:
         for v in special:
             if not (0 <= v < n_v):
                 raise InvalidGraph(f"special vertex {v} out of range")
+        if self.output in (self.constant, *self.inputs):
+            raise InvalidGraph("the output must be an interior vertex")
         indeg = [0] * n_v
         for u, v in self.edges:
             if not (0 <= u < n_v and 0 <= v < n_v):
@@ -290,7 +294,7 @@ class NetGraph:
         return tuple(v for v in range(self.vertex_count) if v not in sources)
 
     def edge_index(self) -> dict:
-        return _compiled(self).edge_index
+        return _edge_index(self)
 
 
 def topological_order(graph: NetGraph):
@@ -357,7 +361,7 @@ class WeightVector(Mapping):
         return cls(graph, np.zeros(graph.n_edges))
 
     def __getitem__(self, edge):
-        return float(self.values[_compiled(self.graph).edge_index[tuple(edge)]])
+        return float(self.values[_edge_index(self.graph)[tuple(edge)]])
 
     def __iter__(self) -> Iterator:
         return iter(self.graph.edges)
@@ -404,57 +408,71 @@ def quantize(weights: WeightVector, spec: QuantizationSpec) -> WeightVector:
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation plans
+# level plans
 # ---------------------------------------------------------------------------
 
-class _Compiled:
-    __slots__ = ("edge_index", "order", "in_src", "in_eidx", "sources")
-
-    def __init__(self, graph: NetGraph):
-        self.edge_index = {e: i for i, e in enumerate(graph.edges)}
-        self.order = tuple(topological_order(graph))
-        self.sources = (graph.constant, *graph.inputs)
-        incoming = {v: [] for v in self.order}
-        for i, (u, v) in enumerate(graph.edges):
-            incoming[v].append((u, i))
-        self.in_src = {}
-        self.in_eidx = {}
-        for v in self.order:
-            pairs = sorted(incoming[v])  # fixed summation order: ascending source id
-            self.in_src[v] = np.array([u for u, _ in pairs], dtype=np.intp)
-            self.in_eidx[v] = np.array([i for _, i in pairs], dtype=np.intp)
-
-
 @lru_cache(maxsize=512)
-def _compiled(graph: NetGraph) -> _Compiled:
-    return _Compiled(graph)
+def _edge_index(graph: NetGraph) -> dict:
+    return {e: i for i, e in enumerate(graph.edges)}
 
 
-class _LayeredPlan:
-    """Dense-MLP plan: per layer, its weights and biases as contiguous blocks
-    of the flat edge vector, so a layer is read and written through views.
+class _LevelPlan:
+    """The net's interior vertices in levels, each run as one dense layer:
+    level li's pre-activations are a W^T + b for its inputs a (..., fan_in)
+    and its W^T (fan_in, width).
 
-    blocks[li] = (w_slice, (fan_in, fan_out), b_slice): w[w_slice] holds
-    layer li's W^T row-major and w[b_slice] its biases; b_slice is None for a
-    layer without biases.
+    blocks[li] = (w_slice, (fan_in, width), b_slice).  The plan is one of two
+    kinds, fixed when it is built:
+
+    - A view plan, when every level reads exactly the previous level's
+      outputs (level 0 the inputs) and the constant as a bias, and its W^T
+      row-major and its biases are each one run of edge ids, as build_mlp
+      numbers them.  w[w_slice] is W^T and w[b_slice] the biases (b_slice
+      None for a level without biases), read and written through views.
+    - A gather plan, for every other DAG.  Level li reads src[li], a gather
+      index into the columns [1, x, level 0's outputs, level 1's, ...] of
+      n_cols, so the constant and skip connections are ordinary sources.
+      Its W^T is a dense block with structural zeros, holding edge
+      edges[li][j] at flat position cells[li][j]; w_slice and b_slice are
+      None.  A view plan's src is all None and its edges and cells empty.
     """
 
-    __slots__ = ("blocks", "acts")
+    __slots__ = ("blocks", "acts", "src", "edges", "cells", "out_cols", "n_cols")
 
-    def __init__(self, blocks, acts):
-        self.blocks = blocks
-        self.acts = acts
+    def __init__(self, blocks, acts, src=None, edges=(), cells=(), out_cols=(), n_cols=None):
+        self.blocks, self.acts = blocks, acts
+        self.src = (None,) * len(blocks) if src is None else src
+        self.edges, self.cells, self.out_cols, self.n_cols = edges, cells, out_cols, n_cols
 
-    def views(self, w):
-        """Per layer, views of W^T (..., fan_in, fan_out) and of the biases
-        (..., fan_out) or None, in w (..., n_edges): a weight vector or a
-        gradient matrix.  The reshape only splits the last, unit-stride axis,
-        so it is a view, and writing to it writes to w."""
+    def views(self, w, fill=True):
+        """Per level W^T (..., fan_in, width) and the biases (..., width) or
+        None, of w (..., n_edges): a weight vector, a weight stack or a
+        gradient buffer.  On a view plan they are views of w, and writing to
+        them writes to w (the reshape only splits the last, unit-stride
+        axis); on a gather plan they are dense blocks, filled from w unless
+        ``fill`` is false (a gradient buffer, which _write_gradient
+        overwrites whole)."""
         lead = w.shape[:-1]
+        if self.n_cols is not None:
+            views = [(np.zeros(lead + shape), None) for _, shape, _ in self.blocks]
+            if fill:
+                self.scatter(w, views)
+            return views
         return [
             (w[..., ws].reshape(lead + shape), None if bs is None else w[..., bs])
             for ws, shape, bs in self.blocks
         ]
+
+    def scatter(self, w, views):
+        """Refill a gather plan's dense blocks from w, after w has changed;
+        a view plan's views are w itself."""
+        for (wt, _), edges, cells in zip(views, self.edges, self.cells):
+            wt.reshape(wt.shape[:-2] + (-1,))[..., cells] = w[..., edges]
+
+    def gather(self, views, grad):
+        """Copy a gather plan's dense gradient blocks back to the edges of grad."""
+        for (gt, _), edges, cells in zip(views, self.edges, self.cells):
+            grad[..., edges] = gt.reshape(gt.shape[:-2] + (-1,))[..., cells]
 
 
 def _vecmat(a, m):
@@ -468,7 +486,7 @@ def _vecmat(a, m):
 
 
 def _in_sums(a, wt, b):
-    """A layer's pre-activations a W^T + b: one input or a batch against one
+    """A level's pre-activations a W^T + b: one input or a batch against one
     net's W^T, or a stack of inputs against a stack of nets' (see _vecmat)."""
     z = _vecmat(a, wt)
     if b is not None:
@@ -476,43 +494,82 @@ def _in_sums(a, wt, b):
     return z
 
 
-def _try_layered(graph: NetGraph, act_of) -> Optional[_LayeredPlan]:
-    comp = _compiled(graph)
-    depth = {graph.constant: 0}
-    for v in graph.inputs:
-        depth[v] = 0
-    for v in comp.order:
-        depth[v] = 1 + max(depth[u] for u in comp.in_src[v])
-    max_d = max(depth[v] for v in comp.order) if comp.order else 0
-    layers = [sorted(v for v in comp.order if depth[v] == d) for d in range(1, max_d + 1)]
-    if not layers or layers[-1] != [graph.output]:
-        return None
+def _gather(fs, src):
+    """Columns src of [1, fs[0], fs[1], ...], joined along the last axis, as
+    a C-contiguous array: _vecmat's bits depend on the operand layout."""
+    return np.take(np.concatenate([np.ones(fs[0].shape[:-1] + (1,)), *fs], axis=-1), src,
+                   axis=-1)
+
+
+def _forward(plan: _LevelPlan, views, xs):
+    """Per level its inputs a and pre-activations z, and the outputs f of
+    the inputs (xs) and of every level, at the weights whose plan.views are
+    given."""
+    ins, zs, fs = [], [], [xs]
+    for src, (wt, b), act in zip(plan.src, views, plan.acts):
+        ins.append(fs[-1] if src is None else _gather(fs, src))
+        zs.append(_in_sums(ins[-1], wt, b))
+        fs.append(act(zs[-1]))
+    return ins, zs, fs
+
+
+def _level_plan(graph: NetGraph, act_of) -> _LevelPlan:
+    """Level the graph by depth, the longest path from a source, splitting a
+    depth by activation; vertices go in ascending id.  The output, deepest
+    of all, is the last level."""
+    incoming = {}  # vertex -> {source: edge id}
+    for i, (u, v) in enumerate(graph.edges):
+        incoming.setdefault(v, {})[u] = i
+    depth = dict.fromkeys((graph.constant, *graph.inputs), 0)
+    for v in topological_order(graph):
+        depth[v] = 1 + max(depth[u] for u in incoming[v])
+    by_key = {}
+    for v in sorted(incoming, key=lambda v: (depth[v], v)):
+        by_key.setdefault((depth[v], act_of(v)), []).append(v)
+    levels, acts = list(by_key.values()), [act for _, act in by_key]
+    blocks = _view_blocks(graph, incoming, levels)
+    if blocks is not None:
+        return _LevelPlan(blocks, acts)
+    col = {graph.constant: 0, **{v: 1 + i for i, v in enumerate(graph.inputs)}}
+    src, edges, cells, out_cols = [], [], [], []
+    for level in levels:
+        sources = sorted({u for v in level for u in incoming[v]}, key=col.__getitem__)
+        row = {u: r for r, u in enumerate(sources)}
+        pairs = [(i, row[u] * len(level) + j)
+                 for j, v in enumerate(level) for u, i in incoming[v].items()]
+        src.append(np.array([col[u] for u in sources], dtype=np.intp))
+        edges.append(np.array([i for i, _ in pairs], dtype=np.intp))
+        cells.append(np.array([c for _, c in pairs], dtype=np.intp))
+        out_cols.append(slice(len(col), len(col) + len(level)))
+        col.update(zip(level, range(len(col), len(col) + len(level))))
+    blocks = [(None, (len(s), len(level)), None) for s, level in zip(src, levels)]
+    return _LevelPlan(blocks, acts, tuple(src), tuple(edges), tuple(cells),
+                      tuple(out_cols), len(col))
+
+
+def _view_blocks(graph, incoming, levels):
+    """A view plan's blocks, or None when some level is not a dense layer on
+    the previous one with contiguous W^T and biases."""
     prev = list(graph.inputs)
-    blocks, acts = [], []
-    for layer in layers:
-        act = act_of(layer[0])
-        rows_w, rows_b = [], []
-        for v in layer:
-            by_src = dict(zip(comp.in_src[v].tolist(), comp.in_eidx[v].tolist()))
-            if act_of(v) != act or set(by_src) - {graph.constant} != set(prev):
-                return None
-            rows_w.append([by_src[u] for u in prev])
-            rows_b.append(by_src.get(graph.constant))
-        # W^T read row-major, and the biases, must each be one run of edge ids
-        w_ids = np.array(rows_w, dtype=np.intp).reshape(len(layer), len(prev)).T.ravel()
-        start = int(w_ids[0]) if w_ids.size else 0
-        if not np.array_equal(w_ids, np.arange(start, start + w_ids.size)):
+    blocks = []
+    for level in levels:
+        if any(set(incoming[v]) - {graph.constant} != set(prev) for v in level):
             return None
-        if rows_b.count(None) == len(layer):
+        # W^T read row-major, and the biases, must each be one run of edge ids
+        w_ids = [incoming[v][u] for u in prev for v in level]
+        rows_b = [incoming[v].get(graph.constant) for v in level]
+        start = w_ids[0] if w_ids else 0
+        if w_ids != list(range(start, start + len(w_ids))):
+            return None
+        if rows_b.count(None) == len(level):
             b_slice = None
-        elif None in rows_b or rows_b != list(range(rows_b[0], rows_b[0] + len(layer))):
+        elif None in rows_b or rows_b != list(range(rows_b[0], rows_b[0] + len(level))):
             return None
         else:
-            b_slice = slice(rows_b[0], rows_b[0] + len(layer))
-        blocks.append((slice(start, start + w_ids.size), (len(prev), len(layer)), b_slice))
-        acts.append(act)
-        prev = layer
-    return _LayeredPlan(blocks, acts)
+            b_slice = slice(rows_b[0], rows_b[0] + len(level))
+        blocks.append((slice(start, start + len(w_ids)), (len(prev), len(level)), b_slice))
+        prev = level
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +598,7 @@ class NeuralNet:
             va = tuple(sorted((int(v), a) for v, a in va.items()))
         object.__setattr__(self, "vertex_activations", tuple(va))
         object.__setattr__(self, "_va_map", dict(self.vertex_activations))
-        object.__setattr__(self, "_layered", None)
-        object.__setattr__(self, "_layered_known", False)
+        object.__setattr__(self, "_levels", None)
 
     # -- structure ----------------------------------------------------------
 
@@ -563,18 +619,15 @@ class NeuralNet:
         else:
             wv = WeightVector(self.graph, values)
         net = NeuralNet(self.activation, self.graph, wv, self.vertex_activations)
-        # share the layered-structure analysis; it depends only on graph + acts,
-        # so every net derived from this one reuses it instead of re-deriving it
-        object.__setattr__(net, "_layered", self._plan())
-        object.__setattr__(net, "_layered_known", True)
+        # share the level plan; it depends only on graph + acts, so every net
+        # derived from this one reuses it instead of re-deriving it
+        object.__setattr__(net, "_levels", self._plan())
         return net
 
-    def _plan(self) -> Optional[_LayeredPlan]:
-        if not self._layered_known:
-            plan = _try_layered(self.graph, self.activation_of)
-            object.__setattr__(self, "_layered", plan)
-            object.__setattr__(self, "_layered_known", True)
-        return self._layered
+    def _plan(self) -> _LevelPlan:
+        if self._levels is None:
+            object.__setattr__(self, "_levels", _level_plan(self.graph, self.activation_of))
+        return self._levels
 
     # -- forward ------------------------------------------------------------
 
@@ -586,36 +639,9 @@ class NeuralNet:
             )
         return x
 
-    def evaluate(self, x, order=None) -> float:
-        """Forward pass; ``order`` optionally forces a specific topological order."""
-        x = self._check_x(x)
-        if order is None:
-            plan = self._plan()
-            if plan is not None:
-                return float(self._layered_outputs(plan, x))
-            use = _compiled(self.graph).order
-        else:
-            use = self._validated_order(order)
-        comp = _compiled(self.graph)
-        y = np.zeros(self.graph.vertex_count)
-        y[self.graph.constant] = 1.0
-        y[list(self.graph.inputs)] = x
-        w = self.weights.values
-        for v in use:
-            z = float(w[comp.in_eidx[v]] @ y[comp.in_src[v]])
-            y[v] = self.activation_of(v)(z)
-        return float(y[self.graph.output])
-
-    def _validated_order(self, order):
-        order = tuple(order)
-        comp = _compiled(self.graph)
-        if sorted(order) != sorted(comp.order):
-            raise InvalidGraph("order must contain every non-source vertex exactly once")
-        pos = {v: i for i, v in enumerate(order)}
-        for u, v in self.graph.edges:
-            if u in pos and v in pos and pos[u] >= pos[v]:
-                raise InvalidGraph(f"order violates edge ({u},{v})")
-        return order
+    def evaluate(self, x) -> float:
+        """Forward pass."""
+        return float(self._outputs(self._check_x(x)))
 
     def evaluate_batch(self, xs) -> np.ndarray:
         """Forward pass over a (batch, n) input matrix."""
@@ -624,24 +650,13 @@ class NeuralNet:
             raise DimensionMismatch(
                 f"batch has shape {xs.shape}, net expects (*, {self.n_inputs})"
             )
-        plan = self._plan()
-        if plan is not None:
-            return self._layered_outputs(plan, xs)
-        w = self.weights.values
-        comp = _compiled(self.graph)
-        y = np.zeros((self.graph.vertex_count, xs.shape[0]))
-        y[self.graph.constant] = 1.0
-        y[list(self.graph.inputs)] = xs.T
-        for v in comp.order:
-            z = w[comp.in_eidx[v]] @ y[comp.in_src[v]]
-            y[v] = self.activation_of(v)(z)
-        return y[self.graph.output].copy()
+        return self._outputs(xs)
 
-    def _layered_outputs(self, plan, a):
-        """Output of one input (in,) or a batch (rows, in); keeps no activations."""
-        for (wt, b), act in zip(plan.views(self.weights.values), plan.acts):
-            a = act(_in_sums(a, wt, b))
-        return a[..., 0]
+    def _outputs(self, a):
+        """Output of one input (in,) or a batch (rows, in)."""
+        plan = self._plan()
+        _, _, fs = _forward(plan, plan.views(self.weights.values), a)
+        return fs[-1][..., 0]
 
     # -- gradients ----------------------------------------------------------
 
@@ -655,36 +670,8 @@ class NeuralNet:
 
     def gradient_array(self, x, y, loss: LossKind = SQUARED_ERROR):
         """Exact loss gradient, returned as (grad over edges, output value)."""
-        x = self._check_x(x)
-        plan = self._plan()
-        if plan is not None:
-            grad, output = self._layered_gradient(plan, x, y, loss)
-            return grad, float(output)
-        return self._gradient_generic(x, y, loss)
-
-    def _gradient_generic(self, x, y, loss, w=None):
-        comp = _compiled(self.graph)
-        gph = self.graph
-        w = self.weights.values if w is None else w
-        yv = np.zeros(gph.vertex_count)
-        zv = np.zeros(gph.vertex_count)
-        yv[gph.constant] = 1.0
-        yv[list(gph.inputs)] = x
-        for v in comp.order:
-            z = float(w[comp.in_eidx[v]] @ yv[comp.in_src[v]])
-            zv[v] = z
-            yv[v] = self.activation_of(v)(z)
-        output = float(yv[gph.output])
-        dy = np.zeros(gph.vertex_count)
-        gz = np.zeros(gph.vertex_count)
-        grad = np.zeros(self.n_edges)
-        gz[gph.output] = self._output_delta(output, y, loss, zv[gph.output])
-        for v in reversed(comp.order):
-            g = gz[v] + dy[v] * self.activation_of(v).derivative(zv[v], yv[v])
-            src, eidx = comp.in_src[v], comp.in_eidx[v]
-            grad[eidx] = g * yv[src]
-            dy[src] += g * w[eidx]
-        return grad, output
+        grad, output = self._gradient_at(self._plan(), self._check_x(x), y, loss)
+        return grad, float(output)
 
     def gradient(self, x, y, loss: LossKind = SQUARED_ERROR) -> WeightVector:
         grad, _ = self.gradient_array(x, y, loss)
@@ -700,86 +687,64 @@ class NeuralNet:
     def _gradient_into(self, w, out):
         """The sample gradient at the weight buffer w, as a function (x, y,
         loss) -> (gradient, output) of a checked input, for a loop that
-        updates w in place.  On the layered plan it writes the gradient into
-        the buffer ``out`` through views of w and out bound once, here."""
+        updates w in place.  It writes the gradient into the buffer ``out``
+        through plan.views of w and out, bound once, here."""
         plan = self._plan()
-        if plan is None:
-            return lambda x, y, loss: self._gradient_generic(x, y, loss, w)
-        w_views, g_views = plan.views(w), plan.views(out)
+        w_views, g_views = plan.views(w), plan.views(out, fill=False)
 
         def gradient(x, y, loss):
-            acts, deltas, output = self._layered_backward(plan, w_views, x, y, loss)
+            plan.scatter(w, w_views)
+            acts, deltas, output = self._backward(plan, w_views, x, y, loss)
             _write_gradient(acts, deltas, g_views)
+            plan.gather(g_views, out)
             return out, output
         return gradient
 
-    def _layered_backward(self, plan: _LayeredPlan, views, xs, ys, loss):
-        """Forward and backward on the layered plan at the weights whose
+    def _backward(self, plan: _LevelPlan, views, xs, ys, loss):
+        """Forward and backward through the levels at the weights whose
         ``views`` (plan.views) are given: over one input (in,) with a scalar
         label or a batch (rows, in) with labels (rows,) at a weight vector;
         or over a stack of inputs (K, in) at a weight stack (K, n_edges), row
         k at the weights of row k.
 
-        Returns per layer the layer's inputs a (..., in) and the loss
-        derivatives delta (..., out) at its pre-activations, plus the outputs.
-        Layer li's weight gradient is the outer product a delta^T, in W^T's
-        layout, and its bias gradient delta.
+        Returns per level the level's inputs a (..., fan_in) and the loss
+        derivatives delta (..., width) at its pre-activations, plus the
+        outputs.  Level li's weight gradient is the outer product a delta^T,
+        in W^T's layout, and its bias gradient delta.  On a gather plan each
+        level's dL/da is added into the columns it read, and a level's
+        outputs take theirs from their columns once every reader is done.
         """
-        a_list, z_list = [xs], []
-        for (wt, b), act in zip(views, plan.acts):
-            z_list.append(_in_sums(a_list[-1], wt, b))
-            a_list.append(act(z_list[-1]))
+        ins, zs, fs = _forward(plan, views, xs)
         # .T[0] is the output column of a batch, a float64 scalar for one input
-        outputs = a_list[-1].T[0]
+        outputs = fs[-1].T[0]
+        d_cols = None if plan.n_cols is None else np.zeros(xs.shape[:-1] + (plan.n_cols,))
         deltas = [None] * len(plan.acts)
-        delta = self._output_delta(outputs, ys, loss, z_list[-1].T[0])[..., None]
+        delta = self._output_delta(outputs, ys, loss, zs[-1].T[0])[..., None]
         for li in range(len(plan.acts) - 1, -1, -1):
             deltas[li] = delta
             if li > 0:
                 back = _vecmat(delta, views[li][0].swapaxes(-1, -2))
-                delta = back * plan.acts[li - 1].derivative(z_list[li - 1], a_list[li])
-        return a_list[:-1], deltas, outputs
+                if d_cols is not None:
+                    d_cols[..., plan.src[li]] += back
+                    back = d_cols[..., plan.out_cols[li - 1]]
+                delta = back * plan.acts[li - 1].derivative(zs[li - 1], fs[li])
+        return ins, deltas, outputs
 
-    def _layered_gradient(self, plan: _LayeredPlan, xs, ys, loss, w=None):
+    def _gradient_at(self, plan: _LevelPlan, xs, ys, loss, w=None):
         """Gradient (..., n_edges) and outputs of one input, a batch, or a
         stack of inputs at the weight stack ``w``."""
         views = plan.views(self.weights.values if w is None else w)
-        acts, deltas, outputs = self._layered_backward(plan, views, xs, ys, loss)
+        acts, deltas, outputs = self._backward(plan, views, xs, ys, loss)
         grads = np.zeros(xs.shape[:-1] + (self.n_edges,))
-        _write_gradient(acts, deltas, plan.views(grads))
+        g_views = plan.views(grads, fill=False)
+        _write_gradient(acts, deltas, g_views)
+        plan.gather(g_views, grads)
         return grads, outputs
 
     def gradient_batch(self, xs, ys, loss: LossKind = SQUARED_ERROR):
         """Per-sample gradients, shape (batch, n_edges), plus outputs (batch,)."""
         xs, ys = self._check_batch(xs, ys)
-        plan = self._plan()
-        if plan is not None:
-            return self._layered_gradient(plan, xs, ys, loss)
-        w = self.weights.values
-        n_b = xs.shape[0]
-        comp = _compiled(self.graph)
-        gph = self.graph
-        yv = np.zeros((gph.vertex_count, n_b))
-        zv = np.zeros((gph.vertex_count, n_b))
-        yv[gph.constant] = 1.0
-        yv[list(gph.inputs)] = xs.T
-        for v in comp.order:
-            z = w[comp.in_eidx[v]] @ yv[comp.in_src[v]]
-            zv[v] = z
-            yv[v] = self.activation_of(v)(z)
-        outputs = yv[gph.output].copy()
-        dy = np.zeros((gph.vertex_count, n_b))
-        grads = np.zeros((n_b, self.n_edges))
-        gz_out = self._output_delta(outputs, ys, loss, zv[gph.output])
-        for v in reversed(comp.order):
-            if v == gph.output:
-                g = gz_out + dy[v] * self.activation_of(v).derivative(zv[v], yv[v])
-            else:
-                g = dy[v] * self.activation_of(v).derivative(zv[v], yv[v])
-            src, eidx = comp.in_src[v], comp.in_eidx[v]
-            grads[:, eidx] = (yv[src] * g).T
-            dy[src] += np.outer(w[eidx], g)
-        return grads, outputs
+        return self._gradient_at(self._plan(), xs, ys, loss)
 
     def gradient_stack(self, weights, xs, ys, loss: LossKind = SQUARED_ERROR):
         """Gradients of K nets of this graph at once, one sample each.
@@ -796,28 +761,20 @@ class NeuralNet:
                 f"weight stack has shape {weights.shape}, expected "
                 f"({xs.shape[0]}, {self.n_edges})"
             )
-        plan = self._plan()
-        if plan is not None:
-            return self._layered_gradient(plan, xs, ys, loss, weights)
-        grads = np.empty(weights.shape)
-        outputs = np.empty(ys.shape)
-        for k, (w, x, y) in enumerate(zip(weights, xs, ys)):
-            grads[k], outputs[k] = self._gradient_generic(x, y, loss, w)
-        return grads, outputs
+        return self._gradient_at(self._plan(), xs, ys, loss, weights)
 
     def population_gradient(self, xs, ys, probs, loss: LossKind = SQUARED_ERROR,
                             overflow_b: float = math.inf):
         """E_p[Psi_B(dL/dw)] over a weighted batch, plus whether any entry of
         any per-sample gradient exceeded B in absolute value.
 
-        Psi_B clamps each per-sample gradient entry to [-B, B].  On the
-        layered plan no per-sample gradient matrix is built for the rows
-        where Psi_B cannot fire: a row's gradient in one layer is a delta^T
-        (and delta for the bias), so those rows reduce to one GEMM per layer,
-        a^T (p delta), and only the other rows are materialized and clamped
-        (see _PopulationWorkspace).  Nets without a layered plan materialize
-        every row.  Rows go in blocks of at most _CHUNK_ELEMS per-sample
-        gradient entries.
+        Psi_B clamps each per-sample gradient entry to [-B, B].  On a view
+        plan no per-sample gradient matrix is built for the rows where Psi_B
+        cannot fire: a row's gradient in one level is a delta^T (and delta
+        for the bias), so those rows reduce to one GEMM per level, a^T (p
+        delta), and only the other rows are materialized and clamped (see
+        _PopulationWorkspace).  A gather plan materializes every row.  Rows
+        go in blocks of at most _CHUNK_ELEMS per-sample gradient entries.
         """
         gradient = self._population_into(self.weights.values, np.empty(self.n_edges),
                                          xs, ys, probs, loss, overflow_b)
@@ -827,7 +784,7 @@ class NeuralNet:
         """The population gradient at the weight buffer w, as a function () ->
         (E_p[Psi_B(dL/dw)], overflow hit) that writes it into the buffer
         ``out``, for a loop that updates w in place.  The population is
-        checked, and on the layered plan bound to a workspace, once, here."""
+        checked, and on a view plan bound to a workspace, once, here."""
         xs, ys = self._check_batch(xs, ys)
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != ys.shape:
@@ -835,16 +792,15 @@ class NeuralNet:
         if not overflow_b > 0:
             raise ValueError("clamp range must be positive")
         plan = self._plan()
-        if plan is not None:
+        if plan.n_cols is None:
             workspace = _PopulationWorkspace(self, plan, w, xs, ys, probs, loss, overflow_b)
             return lambda: (out, workspace(out))
 
         def gradient():
-            net = self.with_weights(w)
             out[...] = 0.0
             overflow_hit = False
             for block in _row_blocks(xs.shape[0], self.n_edges):
-                grads, _ = net.gradient_batch(xs[block], ys[block], loss)
+                grads, _ = self._gradient_at(plan, xs[block], ys[block], loss, w)
                 part, hit = _clamped_sum(probs[block], grads, overflow_b)
                 out[...] += part
                 overflow_hit = overflow_hit or hit
@@ -862,8 +818,10 @@ def _row_blocks(n_rows, n_edges):
 
 
 def _write_gradient(acts, deltas, grad_views):
-    """Write each layer's gradient through plan.views of a gradient buffer:
-    the outer product a delta^T in W^T's layout, and delta for the biases."""
+    """Write each level's gradient through plan.views of a gradient buffer:
+    the outer product a delta^T in W^T's layout, and delta for the biases.
+    On a gather plan the views are dense blocks, which plan.gather copies to
+    the edges."""
     for a, delta, (g_w, g_b) in zip(acts, deltas, grad_views):
         np.multiply(a[..., :, None], delta[..., None, :], out=g_w)
         if g_b is not None:
@@ -892,7 +850,7 @@ def _clamped_sum(probs, grads, b):
 
 
 class _PopulationWorkspace:
-    """E_p[Psi_B(dL/dw)] of a layered net over one fixed weighted population,
+    """E_p[Psi_B(dL/dw)] of a net on a view plan over one fixed weighted population,
     at the weights of a buffer w that the caller updates in place: the
     buffers of every step of a run, bound once.
 

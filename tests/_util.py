@@ -1,4 +1,5 @@
-"""Shared test helpers: random DAG nets and an independent girth verifier."""
+"""Shared test helpers: random DAG nets, a per-vertex reference for the net
+kernels, and an independent girth verifier."""
 
 import numpy as np
 
@@ -41,6 +42,62 @@ def make_random_dag_net(rng, n_inputs=4, n_interior=6, activation=nc.SIGMOID,
     )
     weights = rng.uniform(-weight_scale, weight_scale, size=graph.n_edges)
     return nc.NeuralNet(activation, graph, nc.WeightVector(graph, weights))
+
+
+def _incoming(graph):
+    """Per interior vertex its (source, edge id) pairs, ascending by source."""
+    incoming = {}
+    for i, (u, v) in enumerate(graph.edges):
+        incoming.setdefault(v, []).append((u, i))
+    return {v: sorted(pairs) for v, pairs in incoming.items()}
+
+
+def reference_forward(net, x, order=None):
+    """Per-vertex sweep in a topological order (the graph's own by default):
+    every vertex's value and pre-activation for one input.  Each in-sum
+    adds its terms in ascending source id, so any valid order gives the same
+    bits."""
+    graph = net.graph
+    order = nc.topological_order(graph) if order is None else order
+    incoming = _incoming(graph)
+    w = net.weights.values
+    values = np.zeros(graph.vertex_count)
+    pre = np.zeros(graph.vertex_count)
+    values[graph.constant] = 1.0
+    values[list(graph.inputs)] = x
+    for v in order:
+        z = 0.0
+        for u, i in incoming[v]:
+            z += w[i] * values[u]
+        pre[v] = z
+        values[v] = float(net.activation_of(v)(z))
+    return values, pre
+
+
+def reference_gradient(net, x, y, loss):
+    """(loss gradient over the edges, output) of one sample, by reverse mode
+    over the vertices in reverse topological order."""
+    graph = net.graph
+    values, pre = reference_forward(net, x)
+    output = values[graph.output]
+    out_act = net.activation_of(graph.output)
+    d_values = np.zeros(graph.vertex_count)
+    if loss.kind == "bce" and out_act.kind == "sigmoid":
+        d_out = output - (1.0 - y) / 2.0
+    else:
+        d_out = float(loss.d_output(output, y) * out_act.derivative(pre[graph.output], output))
+    incoming = _incoming(graph)
+    w = net.weights.values
+    grad = np.zeros(net.n_edges)
+    for v in reversed(nc.topological_order(graph)):
+        if v == graph.output:
+            delta = d_out
+        else:
+            delta = d_values[v] * float(net.activation_of(v).derivative(pre[v], values[v]))
+        for u, i in incoming[v]:
+            grad[i] = delta * values[u]
+            d_values[u] += delta * w[i]
+    return grad, output
 
 
 def finite_difference_gradient(net, x, y, loss, h=1e-5):

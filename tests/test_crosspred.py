@@ -102,6 +102,17 @@ class TestPredMonteCarlo:
                                   outer_pairs=50, inner_x=16, seed=1)
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
+    def test_probabilities_within_slack_of_one_are_normalized(self):
+        # 0.5 + 9e-13 and 0.5 sum to 1 + 9e-13: accepted, and normalized, so
+        # Pred of two copies of one constant is 1 within rounding
+        dist = fd.Explicit(((fd.ConstPlus(2), 0.5 + 9e-13), (fd.ConstPlus(2), 0.5)))
+        assert math.fsum(p for _, p in dist.items) == pytest.approx(1.0, abs=1e-15)
+        assert cp.pred_exact(fd.UniformInputs(2), dist).value == pytest.approx(1.0, abs=1e-15)
+
+    def test_probabilities_summing_to_one_kept_as_given(self):
+        dist = fd.Explicit(((fd.ConstPlus(2), 0.3), (fd.ParitySubset(2, 1), 0.7)))
+        assert [p for _, p in dist.items] == [0.3, 0.7]
+
     def test_seeded_determinism(self):
         a = cp.pred_monte_carlo(fd.ParityUniform(5), fd.UniformInputs(5), 200, 64, seed=3)
         b = cp.pred_monte_carlo(fd.ParityUniform(5), fd.UniformInputs(5), 200, 64, seed=3)

@@ -238,7 +238,7 @@ class TestSgdRun:
                            rng=np.random.default_rng(1))
         src = fd.SampleSource.planted(fd.ParitySubset(9, 0b101), fd.UniformInputs(9), seed=2)
         cfg = dc.DescentConfig(gamma=0.1, steps=50, seed=3)
-        with mock.patch.object(nc, "_try_layered", wraps=nc._try_layered) as derive:
+        with mock.patch.object(nc, "_level_plan", wraps=nc._level_plan) as derive:
             for _ in range(3):
                 net, _ = dc.sgd_run(net, src, nc.SQUARED_ERROR, cfg, record_steps=False)
         assert derive.call_count == 1
@@ -538,7 +538,10 @@ def _run_digest(final, log):
 
 class TestPinnedSingleSampleRuns:
     """Final weights, accuracy bits and step reports, pinned before the
-    single-sample loop updated one weight buffer in place."""
+    single-sample loop updated one weight buffer in place.  The per_vertex
+    sgd and cd_randomk pins were re-taken when DAG nets moved onto gather
+    levels, whose dense sums add in another order (final weights within
+    4e-15 relative of the old ones, accuracy bits unchanged)."""
 
     PINNED = {
         "sigmoid_squared_gaussian/sgd":
@@ -566,11 +569,11 @@ class TestPinnedSingleSampleRuns:
         "relu_quantized/cd_randomk":
             "4a643f350690d01ea25c4a59f4b1b0b0ffd69d5dd049c07198fcca573a160d1a",
         "per_vertex/sgd":
-            "75c4021c172066080e36f904eef210191969343ac765e066f82976653695dfbb",
+            "0e4d88785b8439183574ded9e9e3a204ea4acbdc08ce8b69b47076231118972e",
         "per_vertex/cd_topk":
             "9f8f363d956c17d1cc5cb8758e985e8ac0897b915a36fae092c0431fcf98bdf4",
         "per_vertex/cd_randomk":
-            "a50164fcf1b66eac5cb9a13cb9ac810ef32c13201d42591c5bf74527c8dcf29b",
+            "e70be4b45c709604913dc313b921e707576589586de8bcd9721c9585d77786c4",
         "monomial_readout/sgd":
             "eeab5e9d5d3e086bd572ed1b5b76ed3c7ef4ce03a93a72b28ecb4e22eb86a5c8",
         "sigmoid_clamp/sgd/steps":
@@ -584,10 +587,10 @@ class TestPinnedSingleSampleRuns:
         assert _run_digest(*_pinned_run(case, algo)) == self.PINNED[f"{case}/{algo}"]
 
     def test_cases_cover_both_gradient_paths(self):
-        assert _pinned_net("sigmoid")._plan() is not None
-        assert _pinned_net("relu")._plan() is not None
-        assert _pinned_net("dag")._plan() is None
-        assert _pinned_net("monomial")._plan() is None
+        assert _pinned_net("sigmoid")._plan().n_cols is None
+        assert _pinned_net("relu")._plan().n_cols is None
+        assert _pinned_net("dag")._plan().n_cols is not None
+        assert _pinned_net("monomial")._plan().n_cols is not None
 
     def test_trainable_readout(self):
         assert _run_digest(*_readout_run()) == self.PINNED["monomial_readout/sgd"]
@@ -717,7 +720,9 @@ def _pinned_gd_run(case, record_steps=True, steps=40):
 
 class TestPinnedGdRuns:
     """Final weights and step reports of population GD, pinned before gd_run
-    updated one weight buffer through one population workspace."""
+    updated one weight buffer through one population workspace.  The
+    per_vertex pin was re-taken when DAG nets moved onto gather levels
+    (final weights within 6e-16 relative of the old ones)."""
 
     PINNED = {
         "sigmoid_gaussian":
@@ -729,7 +734,7 @@ class TestPinnedGdRuns:
         "relu_bce_uniform":
             "2bba5900473fd5ca6682ec5a472db8c3e77082f99311869e2c86346327e506dc",
         "per_vertex":
-            "acca22eca8cf402fcd3607ad1e3112358acc20bdc0e2f249c7c8831f6fe20acf",
+            "af7365f093dd7a9cc1cc6ec7c3512a0b3c9dca5b11bae39f3a9aecb2aa857349",
         "sigmoid_gaussian/blocks":
             "f0c22cb35ac50f99301dbce4adfefd8d65b6f61bd196632bfe21de4157094aef",
     }
@@ -751,5 +756,5 @@ class TestPinnedGdRuns:
 
     def test_cases_cover_both_gradient_paths(self):
         assert _pinned_gd_net("sigmoid").n_edges == 161
-        assert _pinned_gd_net("two_hidden")._plan() is not None
-        assert _pinned_gd_net("dag")._plan() is None
+        assert _pinned_gd_net("two_hidden")._plan().n_cols is None
+        assert _pinned_gd_net("dag")._plan().n_cols is not None

@@ -111,6 +111,35 @@ class TestSchemaAndExitCodes:
         assert manifest["error"].startswith(error)
         assert manifest["finished"] is not None
 
+    @pytest.mark.parametrize("top, error", [
+        ({"experiment": "xpred", "seed": True}, "schema error: config.seed must be"),
+        ({"experiment": "train"}, "schema error: config is for experiment 'train'"),
+    ])
+    @pytest.mark.parametrize("via_flag", [False, True])
+    def test_bad_top_level_key_leaves_manifest(self, tmp_path, top, error, via_flag):
+        out = tmp_path / "out"
+        doc = {**top, "parameters": {"distribution": {"kind": "parity_uniform", "n": 4}}}
+        argv = ["xpred"]
+        if via_flag:
+            argv += ["--out", str(out)]
+        else:
+            doc["output_dir"] = str(out)
+        cfg = write_config(tmp_path, doc)
+        assert labcli.main(argv + ["--config", str(cfg)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"]) == ("invalid", 2)
+        assert manifest["error"].startswith(error)
+        assert manifest["config_digest"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("doc", [5, [{"experiment": "xpred"}], {"output_dir": 5}])
+    def test_config_without_known_output_exits_2_without_manifest(self, tmp_path,
+                                                                  monkeypatch, doc):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, doc)
+        assert labcli.main(["xpred", "--config", str(cfg)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_crash_leaves_manifest_with_status(self, tmp_path, monkeypatch):
         def broken(parameters, ctx):
             raise RuntimeError("boom")

@@ -7,13 +7,29 @@ from hypothesis import given, settings, strategies as st
 
 from paritylab import labcli
 from paritylab import netcore as nc
-from _util import finite_difference_gradient, gradient_scaled_error, make_random_dag_net
+from _util import (finite_difference_gradient, gradient_scaled_error, make_random_dag_net,
+                   reference_forward, reference_gradient)
 
 
 def chain_net(activation=nc.SIGMOID, w_const=0.0):
     g = nc.NetGraph(vertex_count=2, input_size=0, edges=((0, 1),),
                     constant=0, inputs=(), output=1)
     return nc.NeuralNet(activation, g, nc.WeightVector.from_dict(g, {(0, 1): w_const}))
+
+
+def two_two_one_net():
+    """A layered 2-2-1 net numbered (hidden 3, 5; output 4), so that the
+    hidden biases, edges (0,3) and (0,5), are not one run of edge ids."""
+    edges = ((0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (5, 4))
+    g = nc.NetGraph(vertex_count=6, input_size=2, edges=edges,
+                    constant=0, inputs=(1, 2), output=4)
+    return nc.NeuralNet(nc.TANH, g, nc.WeightVector(g, np.linspace(-1.0, 1.0, 9)))
+
+
+def is_view_plan(net):
+    """Whether every level of the net's plan reads its weights through views."""
+    plan = net._plan()
+    return plan.n_cols is None and all(ws is not None for ws, _, _ in plan.blocks)
 
 
 class TestTopologicalOrder:
@@ -59,6 +75,12 @@ class TestGraphInvariants:
         with pytest.raises(nc.InvalidGraph):
             nc.NetGraph(vertex_count=3, input_size=0, edges=((1, 2), (0, 2)),
                         constant=0, inputs=(), output=2)
+
+    def test_output_must_be_interior(self):
+        # the output is the last level of the net's plan, so it cannot be a source
+        with pytest.raises(nc.InvalidGraph):
+            nc.NetGraph(vertex_count=1, input_size=0, edges=(), constant=0, inputs=(),
+                        output=0)
 
     def test_weight_keys_must_match_edges(self):
         g = nc.NetGraph(vertex_count=2, input_size=0, edges=((0, 1),),
@@ -162,11 +184,11 @@ class TestEvaluate:
         for _ in range(50):
             net = make_random_dag_net(rng, n_inputs=3, n_interior=7)
             x = 1.0 - 2.0 * rng.integers(0, 2, size=3).astype(float)
-            comp_order = nc.topological_order(net.graph)
             alt = self._alternative_order(net.graph, rng)
-            a = net.evaluate(x, order=comp_order)
-            b = net.evaluate(x, order=alt)
-            assert a == b  # bit-identical
+            a, _ = reference_forward(net, x)
+            b, _ = reference_forward(net, x, order=alt)
+            assert a.tobytes() == b.tobytes()  # bit-identical
+            assert net.evaluate(x) == pytest.approx(a[net.graph.output], abs=1e-12)
 
     @staticmethod
     def _alternative_order(graph, rng):
@@ -236,13 +258,13 @@ class TestGradient:
         numeric = finite_difference_gradient(net, x, -1.0, nc.LOGISTIC_BCE, h=1e-6)
         assert gradient_scaled_error(analytic, numeric) <= 1e-5
 
-    def test_generic_and_layered_paths_agree(self):
+    def test_layered_net_matches_reference(self):
         rng = np.random.default_rng(3)
         net = nc.build_mlp(6, [5, 4], nc.TANH, init="he_uniform", rng=rng)
-        assert net._plan() is not None
+        assert is_view_plan(net)
         x = 1.0 - 2.0 * rng.integers(0, 2, size=6).astype(float)
         fast, out_fast = net.gradient_array(x, 1.0, nc.SQUARED_ERROR)
-        slow, out_slow = net._gradient_generic(x, 1.0, nc.SQUARED_ERROR)
+        slow, out_slow = reference_gradient(net, x, 1.0, nc.SQUARED_ERROR)
         assert out_fast == pytest.approx(out_slow, abs=1e-12)
         assert np.allclose(fast, slow, atol=1e-12)
 
@@ -256,16 +278,15 @@ class TestGradient:
         lambda rng: labcli._pytorch_uniform_net(9, [16, 1, 4], seed=3),
         lambda rng: labcli._pytorch_uniform_net(5, [4], seed=4, activation=nc.SIGMOID),
     ])
-    def test_view_plan_matches_generic_path(self, make):
+    def test_view_plan_matches_reference(self, make):
         rng = np.random.default_rng(3)
         net = make(rng)
         # random weights, biases included, so every block is exercised
         net = net.with_weights(rng.uniform(-1.0, 1.0, size=net.n_edges))
-        plan = net._plan()
-        assert plan is not None
+        assert is_view_plan(net)
         # the blocks tile the edge vector
         covered = np.zeros(net.n_edges, dtype=int)
-        for w_slice, shape, b_slice in plan.blocks:
+        for w_slice, shape, b_slice in net._plan().blocks:
             covered[w_slice] += 1
             assert covered[w_slice].size == shape[0] * shape[1]
             if b_slice is not None:
@@ -277,20 +298,15 @@ class TestGradient:
             batch, _ = net.gradient_batch(xs, ys, loss)
             for x, y, row in zip(xs, ys, batch):
                 fast, out_fast = net.gradient_array(x, y, loss)
-                slow, out_slow = net._gradient_generic(x, y, loss)
+                slow, out_slow = reference_gradient(net, x, y, loss)
                 assert out_fast == pytest.approx(out_slow, abs=1e-12)
                 assert np.max(np.abs(fast - slow), initial=0.0) <= 1e-12
                 assert np.max(np.abs(row - slow), initial=0.0) <= 1e-12
                 assert net.evaluate(x) == pytest.approx(out_slow, abs=1e-12)
 
-    def test_non_contiguous_layer_takes_per_vertex_path(self):
-        # a layered 2-2-1 net numbered (hidden 3, 5; output 4) so that the
-        # hidden biases, edges (0,3) and (0,5), are not one run of edge ids
-        edges = ((0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (5, 4))
-        g = nc.NetGraph(vertex_count=6, input_size=2, edges=edges,
-                        constant=0, inputs=(1, 2), output=4)
-        net = nc.NeuralNet(nc.TANH, g, nc.WeightVector(g, np.linspace(-1.0, 1.0, 9)))
-        assert net._plan() is None
+    def test_non_contiguous_layer_gets_gather_levels(self):
+        net = two_two_one_net()
+        assert net._plan().n_cols is not None
         x = np.array([0.5, -1.0])
         analytic, out = net.gradient_array(x, 1.0)
         numeric = finite_difference_gradient(net, x, 1.0, nc.SQUARED_ERROR)
@@ -441,6 +457,113 @@ def _assert_population_gradient_matches(net, xs, ys, probs, loss, b):
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(float(np.max(mass)), 1e-300)
 
 
+_ORACLE_ACTS = [nc.SIGMOID, nc.TANH, nc.RELU, nc.COSINE, nc.IDENTITY]
+
+
+@st.composite
+def oracle_nets(draw):
+    """A net from one of the plan's shapes, at random weights: random DAGs
+    with skip connections, with per-vertex activations, or without inputs;
+    the non-contiguously numbered 2-2-1 net; the cosine-gadget net; an MLP."""
+    kind = draw(st.sampled_from(["dag", "mixed", "no_inputs", "2-2-1", "monomial", "mlp"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind in ("dag", "mixed", "no_inputs"):
+        n_inputs = 0 if kind == "no_inputs" else draw(st.integers(1, 4))
+        net = make_random_dag_net(rng, n_inputs=n_inputs, n_interior=draw(st.integers(1, 7)),
+                                  activation=draw(st.sampled_from(_ORACLE_ACTS)))
+        if kind == "mixed":
+            acts = {v: draw(st.sampled_from(_ORACLE_ACTS))
+                    for v in net.graph.interior_vertices()}
+            net = nc.NeuralNet(net.activation, net.graph, net.weights, acts)
+    elif kind == "2-2-1":
+        net = two_two_one_net()
+    elif kind == "monomial":
+        net = nc.build_monomial_net(draw(st.integers(2, 4)), draw(st.integers(1, 2)))
+    else:
+        net = nc.build_mlp(draw(st.integers(0, 4)), [draw(st.integers(1, 4))], nc.TANH)
+    return net.with_weights(rng.uniform(-1.5, 1.5, size=net.n_edges))
+
+
+class TestLevelPlanOracle:
+    """Every kernel, on every plan shape, against the per-vertex reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(net=oracle_nets(), bce=st.booleans(), rows=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_kernels_match_reference(self, net, bce, rows, seed):
+        rng = np.random.default_rng(seed)
+        # BCE reads the output as a probability, so it needs a sigmoid output
+        loss = (nc.LOGISTIC_BCE if bce and net.activation_of(net.graph.output) is nc.SIGMOID
+                else nc.SQUARED_ERROR)
+        xs = rng.normal(0.0, 1.5, size=(rows, net.n_inputs))
+        ys = 1.0 - 2.0 * rng.integers(0, 2, size=rows).astype(float)
+        refs = [reference_gradient(net, x, y, loss) for x, y in zip(xs, ys)]
+        ref_grads = np.array([g for g, _ in refs])
+        ref_outs = np.array([o for _, o in refs])
+        scale = max(1.0, float(np.max(np.abs(ref_grads), initial=0.0)))
+
+        def close(got, ref):
+            return np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale
+
+        assert close(np.array([net.evaluate(x) for x in xs]), ref_outs)
+        assert close(net.evaluate_batch(xs), ref_outs)
+        for x, y, g, o in zip(xs, ys, ref_grads, ref_outs):
+            grad, out = net.gradient_array(x, y, loss)
+            assert close(grad, g) and close(out, o)
+        grads, outs = net.gradient_batch(xs, ys, loss)
+        assert close(grads, ref_grads) and close(outs, ref_outs)
+
+        stack = net.weights.values + rng.normal(0.0, 0.5, size=(rows, net.n_edges))
+        grads, outs = net.gradient_stack(stack, xs, ys, loss)
+        for k in range(rows):
+            g, o = reference_gradient(net.with_weights(stack[k]), xs[k], ys[k], loss)
+            assert close(grads[k], g) and close(outs[k], o)
+
+        probs = rng.random(rows) + 0.1
+        probs /= probs.sum()
+        row_max = np.max(np.abs(ref_grads), axis=1)
+        for b in (math.inf, 1.0, float(np.median(row_max))):
+            if not b > 0:
+                continue
+            got, hit = net.population_gradient(xs, ys, probs, loss, b)
+            assert close(got, probs @ np.clip(ref_grads, -b, b))
+            # an entry within rounding of B may fall on either side of it
+            if not np.any(np.abs(np.abs(ref_grads) - b) <= 1e-12 * scale):
+                assert hit == bool(np.any(np.abs(ref_grads) > b))
+
+    @pytest.mark.parametrize("make, views", [
+        (lambda: nc.build_mlp(5, [4, 3], nc.RELU, out_activation=nc.SIGMOID), True),
+        (lambda: labcli._pytorch_uniform_net(9, [16, 1, 4], seed=3), True),
+        (lambda: nc.build_monomial_net(5, 2), False),
+        (lambda: make_random_dag_net(np.random.default_rng(8)), False),
+        (lambda: two_two_one_net(), False),
+        (lambda: nc.net_from_json(nc.net_to_json(nc.build_mlp(3, [2]))), True),
+        (lambda: nc.net_from_json(nc.net_to_json(nc.build_monomial_net(3, 2))), False),
+    ])
+    def test_every_builder_gets_a_plan(self, make, views):
+        net = make()
+        plan = net._plan()
+        assert is_view_plan(net) == views
+        assert plan.blocks[-1][1][1] == 1  # the output alone is the last level
+        if not views:
+            # every edge sits in exactly one level's dense block
+            assert sorted(np.concatenate(plan.edges).tolist()) == list(range(net.n_edges))
+
+    def test_depth_split_by_activation(self):
+        # the output's two sources share depth 1 but not their activation
+        g = nc.NetGraph(vertex_count=5, input_size=1,
+                        edges=((0, 2), (1, 2), (1, 3), (2, 4), (3, 4)),
+                        constant=0, inputs=(1,), output=4)
+        net = nc.NeuralNet(nc.TANH, g, nc.WeightVector(g, np.linspace(-1.0, 1.0, 5)),
+                           {3: nc.COSINE, 4: nc.IDENTITY})
+        plan = net._plan()
+        assert [a.kind for a in plan.acts] == ["tanh", "cosine", "identity"]
+        x = np.array([0.7])
+        grad, out = net.gradient_array(x, 1.0)
+        ref, ref_out = reference_gradient(net, x, 1.0, nc.SQUARED_ERROR)
+        assert np.max(np.abs(grad - ref)) <= 1e-12 and abs(out - ref_out) <= 1e-12
+
+
 class TestPopulationGradient:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -459,7 +582,7 @@ class TestPopulationGradient:
         out_act = nc.SIGMOID if loss is nc.LOGISTIC_BCE else None
         net = nc.build_mlp(n, hidden, act, out_activation=out_act)
         net = net.with_weights(rng.uniform(-scale, scale, size=net.n_edges))
-        assert net._plan() is not None
+        assert is_view_plan(net)
         xs = rng.normal(0.0, 1.5, size=(rows, n))
         ys = 1.0 - 2.0 * rng.integers(0, 2, size=rows).astype(float)
         probs = rng.random(rows) + 1e-3
@@ -476,10 +599,10 @@ class TestPopulationGradient:
                 _assert_population_gradient_matches(net, xs, ys, probs, loss, b)
 
     @pytest.mark.parametrize("b", [math.inf, 1.0, 0.3])
-    def test_per_vertex_fallback(self, b):
+    def test_gather_plan_materializes_rows(self, b):
         rng = np.random.default_rng(21)
         net = nc.build_monomial_net(4, 2)
-        assert net._plan() is None
+        assert net._plan().n_cols is not None
         net = net.with_weights(rng.uniform(-1.5, 1.5, size=net.n_edges))
         xs = 1.0 - 2.0 * ((np.arange(16)[:, None] >> np.arange(4)[None, :]) & 1)
         ys = np.prod(xs, axis=1)
@@ -537,7 +660,7 @@ class TestPopulationWorkspaceOracle:
         out_act = nc.SIGMOID if loss is nc.LOGISTIC_BCE or act is nc.RELU else None
         net = nc.build_mlp(n, [6, 3], act, out_activation=out_act)
         net = net.with_weights(rng.uniform(-2.0, 2.0, size=net.n_edges))
-        assert net._plan() is not None
+        assert is_view_plan(net)
         xs = 1.0 - 2.0 * rng.integers(0, 2, size=(rows, n)).astype(float)
         xs *= rng.uniform(0.5, 2.0, size=(rows, n))
         ys = 1.0 - 2.0 * rng.integers(0, 2, size=rows).astype(float)
@@ -631,8 +754,9 @@ class TestGradientStack:
             part, _ = net.gradient_stack(weights[lo:hi], xs[lo:hi], ys[lo:hi])
             assert part.tobytes() == whole[lo:hi].tobytes()
 
-    def test_per_vertex_net_stacks_row_by_row(self):
+    def test_gather_plan_stacks_row_by_row(self):
         net = nc.build_monomial_net(4, 2)
+        assert net._plan().n_cols is not None
         weights, xs, ys = _stack_case(net, 3, seed=36)
         grads, outputs = net.gradient_stack(weights, xs, ys)
         for k in range(3):

@@ -205,7 +205,7 @@ class TestSgdAsSlaCache:
         # the machine binds its gradient to the plan when it is built
         net = small_net()
         src = fd.SampleSource.null(fd.UniformInputs(6), seed=2)
-        with mock.patch.object(nc, "_try_layered", wraps=nc._try_layered) as derive:
+        with mock.patch.object(nc, "_level_plan", wraps=nc._level_plan) as derive:
             machine = sla.sgd_as_sla(net, nc.SQUARED_ERROR, quant_config(steps=200))
             sla.run_trace(machine, src, 200)
         assert derive.call_count == 1
