@@ -504,6 +504,22 @@ class SampleSource:
             return x, float(self.f.evaluate(x))
         return x, 1.0 - 2.0 * int(self._rng.integers(0, 2))
 
+    def take(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The next ``count`` samples as a (count, n) input block and a
+        (count,) label array: what ``count`` next_sample calls return, from
+        the same draws, leaving the generator in the same state.  A uniform
+        iid source draws its block in one call: each 0/1 draw takes one
+        32-bit word of the bit generator, whatever the call boundaries."""
+        if self.sampling == "iid" and isinstance(self.input_dist, UniformInputs):
+            n = self.n
+            if self.mode == "planted":
+                xs = _PM_OF_BIT[self._rng.integers(0, 2, size=(count, n))]
+                return xs, self.f.evaluate_batch(xs)
+            bits = self._rng.integers(0, 2, size=(count, n + 1))
+            return _PM_OF_BIT[bits[:, :n]], 1.0 - 2.0 * bits[:, n]
+        zs = [self.next_sample() for _ in range(count)]
+        return np.array([x for x, _ in zs]), np.array([y for _, y in zs])
+
 
 # ---------------------------------------------------------------------------
 # GF(2) parity recovery

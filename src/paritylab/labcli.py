@@ -405,8 +405,13 @@ def cmd_distinguish(config: dict, ctx: RunContext) -> int:
             cfg = _descent_config(descent_section, seed=trial_seed)
             return sla.sgd_as_sla(base_net, netcore.SQUARED_ERROR, cfg)
 
+        with _values_checked("descent"):
+            machine(ctx.seed)  # an unbounded alphabet fails here, before any trace
     else:
         raise SchemaError(f"unknown machine {spec['machine']!r}")
+    with _values_checked("distinguish"):
+        sla.distinguish_cap(dist, spec["steps"], spec["trials"], spec["statistic"],
+                            spec["cap_constant"])
     report = sla.distinguish_experiment(
         machine,
         dist,

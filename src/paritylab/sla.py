@@ -39,7 +39,7 @@ from .netcore import LossKind, NeuralNet, SQUARED_ERROR, predict_label
 from .crosspred import pred_closed_form
 
 
-class UnboundedAlphabet(Exception):
+class UnboundedAlphabet(ValueError):
     """The SGD-as-SLA reduction needs quantized weights and a coordinate budget."""
 
 
@@ -125,10 +125,11 @@ def run_trace(
     if steps < 1:
         raise ValueError("need steps >= 1")
     src = source.with_seed(seed) if seed is not None else source
+    xs, ys = src.take(steps)
+    xs.setflags(write=False)
     symbols: list = []
     pairs = []
-    for _ in range(steps):
-        z = src.next_sample()
+    for z in zip(xs, ys.tolist()):
         w = machine.update(z, tuple(symbols))
         symbols.append(w)
         pairs.append((z, w))
@@ -175,11 +176,17 @@ def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int) -> list:
     seeds = [run.config.seed for run in runs]
     w = np.stack([run.w0 for run in runs])
     rows = np.arange(len(runs))[:, None]
+    # every sample up front, filled source by source: step t reads the
+    # contiguous (K, n) block[t - 1]
+    block = np.empty((steps, len(runs), sources[0].n))
+    labels = np.empty((steps, len(runs)))
+    for k, src in enumerate(sources):
+        block[:, k], labels[:, k] = src.take(steps)
+    block.setflags(write=False)
     pairs: list = [[] for _ in runs]
     for t in range(1, steps + 1):
-        zs = [src.next_sample() for src in sources]
-        xs = np.array([x for x, _ in zs])
-        ys = np.array([y for _, y in zs])
+        xs, ys = block[t - 1], labels[t - 1]
+        zs = list(zip(xs, ys.tolist()))
         grads, outputs = net.gradient_stack(w, xs, ys, loss)
         accs = _descent._acc_bit(net, outputs, ys, loss).tolist()
         sel, touched, _ = _descent.budgeted_step(w, grads, config, seeds, t)
@@ -379,6 +386,29 @@ def _trace_statistic(trace: TraceRecord, machine: SlaStateMachine, statistic: st
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
+def distinguish_cap(dist: FunctionDistribution, steps: int, trials: int,
+                    statistic: str = "prediction_count", cap_constant: float = 1.0,
+                    pred_value: Optional[float] = None) -> float:
+    """The theoretical cap 1/2 + c * Pred^(1/24), clamped to 1, of a
+    distinguish_experiment with these arguments; ValueError if they are bad."""
+    if steps < 1:
+        raise ValueError("need steps >= 1")
+    if trials < 20:
+        raise ValueError("need at least 20 trials per hypothesis")
+    if statistic not in ("final_acc_bit", "prediction_count"):
+        raise ValueError(f"unknown statistic {statistic!r}")
+    if not (math.isfinite(cap_constant) and cap_constant >= 0):
+        raise ValueError(f"cap_constant must be finite and >= 0, got {cap_constant}")
+    if pred_value is None:
+        closed = pred_closed_form(dist, UniformInputs(dist.n))
+        if closed is None:
+            raise ValueError(
+                "no closed-form cross-predictability; pass pred_value explicitly"
+            )
+        pred_value = closed.value
+    return min(1.0, 0.5 + cap_constant * pred_value ** (1.0 / 24.0))
+
+
 def distinguish_experiment(
     machine,
     dist: FunctionDistribution,
@@ -396,20 +426,10 @@ def distinguish_experiment(
     algorithms whose internal randomness should vary per trial.  Runs
     ``trials`` traces per hypothesis and decides 'planted' when the statistic
     exceeds a threshold calibrated on held-out null runs (95th percentile).
-    The theoretical cap is 1/2 + c * Pred^(1/24), clamped to 1.
+    The theoretical cap is distinguish_cap's.
     """
-    if trials < 20:
-        raise ValueError("need at least 20 trials per hypothesis")
-    n = dist.n
-    inputs = UniformInputs(n)
-    if pred_value is None:
-        closed = pred_closed_form(dist, inputs)
-        if closed is None:
-            raise ValueError(
-                "no closed-form cross-predictability; pass pred_value explicitly"
-            )
-        pred_value = closed.value
-    cap = min(1.0, 0.5 + cap_constant * pred_value ** (1.0 / 24.0))
+    cap = distinguish_cap(dist, steps, trials, statistic, cap_constant, pred_value)
+    inputs = UniformInputs(dist.n)
 
     def make_machine(tag: int, index: int) -> SlaStateMachine:
         if isinstance(machine, SlaStateMachine):

@@ -211,6 +211,32 @@ def test_criterion_09_bounded_memory_distinguishability():
            f"[{result.ci_low:.3f}, {result.ci_high:.3f}] overlaps [0.45, 0.55]")
 
 
+def test_criterion_09_machine_moves_only_the_output_bias():
+    """The README's caveat on criterion 9: on its 16-8-1 sigmoid net with
+    budget 1, top-k and 8-bit/4 weights, every symbol changes the output-bias
+    edge or nothing.  If this stops holding, the caveat is stale."""
+    n, seed, trials, steps = 16, 99, 4, 200
+    base_net = nc.build_mlp(n, [8], nc.SIGMOID, init="he_uniform",
+                            rng=np.random.default_rng(909))
+    graph = base_net.graph
+    bias = graph.edge_index()[(graph.constant, graph.output)]
+    inputs = fd.UniformInputs(n)
+    fn_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
+    trial_seeds = [sla._derived_seed(seed, tag, i) for tag in (1, 2) for i in range(trials)]
+    sources = [fd.SampleSource.planted(fd.ParityUniform(n).draw(fn_rng), inputs, seed=s)
+               for s in trial_seeds[:trials]]
+    sources += [fd.SampleSource.null(inputs, seed=s) for s in trial_seeds[trials:]]
+    machines = [
+        sla.sgd_as_sla(base_net, nc.SQUARED_ERROR, dc.DescentConfig(
+            gamma=0.1, steps=steps, coord_budget=1,
+            quantization=nc.QuantizationSpec(8, 4), seed=s))
+        for s in trial_seeds
+    ]
+    touched = {i for trace in sla.run_traces(machines, sources, steps)
+               for changed, _ in trace.symbols for i, _ in changed}
+    assert touched == {bias}
+
+
 def test_criterion_10_aer_girth():
     grid = [(20, 6.0, 4), (25, 8.0, 4), (30, 12.0, 5), (40, 10.0, 6),
             (24, 30.0, 3)]

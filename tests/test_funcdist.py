@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paritylab import funcdist as fd
 from paritylab import netcore as nc
@@ -183,6 +184,76 @@ class TestSampleStreamsPinned:
         assert f.indices.tolist() == [0, 3, 5]
         assert f.indices is f.indices and not f.indices.flags.writeable
         assert f == fd.MonomialSubset(6, 0b101001, 3)
+
+
+def _take_matches_next_sample(make, count):
+    """source.take(count) returns count next_sample calls' samples, x bitwise
+    and labels as equal Python floats, and leaves an equal generator state."""
+    block, stream = make(), make()
+    xs, ys = block.take(count)
+    zs = [stream.next_sample() for _ in range(count)]
+    assert xs.shape == (count, block.n)
+    assert xs.tobytes() == np.array([x for x, _ in zs]).reshape(count, block.n).tobytes()
+    labels = ys.tolist()
+    assert all(type(y) is float for y in labels)
+    assert labels == [y for _, y in zs]
+    assert block._rng.bit_generator.state == stream._rng.bit_generator.state
+
+
+class TestTake:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        count=st.integers(1, 64),
+        kind=st.sampled_from(["parity", "table", "const", "null"]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        before=st.integers(0, 3),
+    )
+    def test_uniform_iid_block_equals_stream(self, n, count, kind, seed, before):
+        """One block draw per source; odd n leaves half of a 64-bit word in
+        the bit generator, carried over from the samples drawn before."""
+        inputs = fd.UniformInputs(n)
+        f = {"parity": fd.ParitySubset(n, seed % (1 << n)),
+             "table": fd.RandomTable(n, seed),
+             "const": fd.ConstMinus(n)}.get(kind)
+
+        def make():
+            src = (fd.SampleSource.null(inputs, seed=seed) if f is None
+                   else fd.SampleSource.planted(f, inputs, seed=seed))
+            for _ in range(before):
+                src.next_sample()
+            return src
+
+        _take_matches_next_sample(make, count)
+
+    @pytest.mark.parametrize("sampling", ["iid", "exhaust", "epoch"])
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_finite_inputs_follow_next_sample(self, sampling, planted):
+        xs = fd.UniformInputs(5).sample(np.random.default_rng(3), 12)
+        f = fd.ParitySubset(5, 0b10110)
+
+        def make():
+            inputs = fd.FiniteInputs(xs)
+            return (fd.SampleSource.planted(f, inputs, seed=8, sampling=sampling) if planted
+                    else fd.SampleSource.null(inputs, seed=8, sampling=sampling))
+
+        _take_matches_next_sample(make, 12 if sampling == "exhaust" else 30)
+
+    def test_point_mass_follows_next_sample(self):
+        inputs = fd.PointMassInput((1.0, -1.0, -1.0))
+        _take_matches_next_sample(
+            lambda: fd.SampleSource.planted(fd.ParitySubset(3, 0b011), inputs, seed=2), 9)
+        _take_matches_next_sample(lambda: fd.SampleSource.null(inputs, seed=2), 9)
+
+    def test_exhaust_source_raises_when_depleted(self):
+        xs = fd.bits_to_pm(np.array([[0, 1], [1, 0], [1, 1]]))
+        src = fd.SampleSource.null(fd.FiniteInputs(xs), seed=0, sampling="exhaust")
+        with pytest.raises(fd.SourceExhausted):
+            src.take(4)
+        src = fd.SampleSource.null(fd.FiniteInputs(xs), seed=0, sampling="exhaust")
+        src.take(2)
+        with pytest.raises(fd.SourceExhausted):
+            src.take(2)
 
 
 class TestParityOrthogonality:

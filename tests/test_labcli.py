@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paritylab import funcdist as fd
 from paritylab import labcli
@@ -349,6 +355,84 @@ class TestDistinguishCommand:
         assert labcli.main(["distinguish", "--config", str(cfg)]) == 0
         doc = json.loads((tmp_path / "out" / "distinguish.json").read_text())
         assert 0.0 <= doc["accuracy"] <= 1.0
+
+
+_DISTINGUISH_BASE = {
+    "distribution": {"kind": "parity_uniform", "n": 4},
+    "steps": 5, "trials": 20, "machine": "gf2_solver",
+}
+_SGD_SECTIONS = {"net": {"widths": [2]}, "descent": {"gamma": 0.25, "steps": 5}}
+
+
+def _run_distinguish(parameters, out_dir):
+    """labcli.main on a distinguish config: its exit code, stderr and manifest."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = write_config(out_dir, {"experiment": "distinguish", "seed": 3,
+                                 "output_dir": str(out_dir / "out"),
+                                 "parameters": parameters})
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = labcli.main(["distinguish", "--config", str(cfg)])
+    manifest = json.loads((out_dir / "out" / "manifest.json").read_text())
+    return code, stderr.getvalue(), manifest
+
+
+class TestDistinguishContract:
+    @pytest.mark.parametrize("change", [
+        {"steps": 0},
+        {"trials": 19},
+        {"statistic": "bogus"},
+        {"distribution": {"kind": "constant_mixture", "n": 4, "p_const": 0.5}},
+        {"machine": "sgd_sla", **_SGD_SECTIONS},
+        {"cap_constant": -1.0},
+        {"cap_constant": math.inf},
+        {"cap_constant": math.nan},
+    ], ids=["steps0", "trials19", "statistic", "no_closed_form", "unbounded_alphabet",
+            "negative_cap", "infinite_cap", "nan_cap"])
+    def test_invalid_config_exits_2(self, tmp_path, change):
+        code, stderr, manifest = _run_distinguish({**_DISTINGUISH_BASE, **change}, tmp_path)
+        assert code == 2
+        assert len(stderr.strip().splitlines()) == 1 and "Traceback" not in stderr
+        assert manifest["status"] == "invalid" and manifest["error"]
+        assert not (tmp_path / "out" / "distinguish.json").exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dist=st.one_of(
+            st.builds(lambda n: {"kind": "parity_uniform", "n": n}, st.integers(-1, 5)),
+            st.builds(lambda n, k: {"kind": "monomial_k", "n": n, "k": k},
+                      st.integers(1, 5), st.integers(-1, 6)),
+            st.builds(lambda n: {"kind": "uniform_all", "n": n}, st.integers(0, 5)),
+            st.builds(lambda p: {"kind": "constant_mixture", "n": 3, "p_const": p},
+                      st.sampled_from([0.0, 0.5, 1.5])),
+            st.just({"kind": "bogus", "n": 3}),
+        ),
+        steps=st.integers(-1, 4),
+        trials=st.sampled_from([0, 19, 20, 21]),
+        statistic=st.sampled_from(["prediction_count", "final_acc_bit", "bogus"]),
+        machine=st.sampled_from(["constant", "gf2_solver", "sgd_sla", "bogus"]),
+        widths=st.lists(st.integers(-1, 2), max_size=2),
+        budget=st.integers(-1, 2),
+        bits=st.sampled_from([[], [8, 4], [4], [2, 4]]),
+        gamma=st.sampled_from([0.25, 0.0, -1.0, math.inf]),
+        cap=st.sampled_from([1.0, 0.0, -1.0, math.inf, math.nan, None]),
+    )
+    def test_fuzzed_configs_keep_the_exit_contract(self, dist, steps, trials, statistic,
+                                                   machine, widths, budget, bits, gamma, cap):
+        """Any config exits 0, 2 or 3, with no traceback, and leaves a
+        manifest with a status."""
+        parameters = {"distribution": dist, "steps": steps, "trials": trials,
+                      "statistic": statistic, "machine": machine,
+                      "net": {"widths": widths},
+                      "descent": {"gamma": gamma, "steps": 4, "coord_budget": budget,
+                                  "quantization_bits": bits}}
+        if cap is not None:
+            parameters["cap_constant"] = cap
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stderr, manifest = _run_distinguish(parameters, Path(tmp))
+        assert code in (0, 2, 3)
+        assert "Traceback" not in stderr
+        assert manifest["status"] in ("ok", "invalid", "refused")
 
 
 class TestTrainCommand:

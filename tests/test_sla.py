@@ -518,6 +518,32 @@ class TestRunTraces:
         separate = [sla.run_trace(m, again, 10) for m in machines]
         assert all(_same_pairs(a, b) for a, b in zip(traces, separate))
 
+    def test_lockstep_takes_each_source_once(self):
+        net = small_net()
+        machines = [sla.sgd_as_sla(net, nc.SQUARED_ERROR, quant_config(seed=s))
+                    for s in range(4)]
+        sources = _lockstep_sources([True, False, True, False])
+        take = mock.patch.object(fd.SampleSource, "take", autospec=True,
+                                 side_effect=fd.SampleSource.take)
+        next_sample = mock.patch.object(fd.SampleSource, "next_sample", autospec=True,
+                                        side_effect=fd.SampleSource.next_sample)
+        with take as took, next_sample as drew:
+            sla.run_traces(machines, sources, 25)
+        assert sorted(id(c.args[0]) for c in took.call_args_list) == sorted(map(id, sources))
+        assert all(c.args[1:] == (25,) for c in took.call_args_list)
+        assert drew.call_count == 0
+
+    def test_trace_inputs_are_read_only(self):
+        net = small_net()
+        machines = [sla.sgd_as_sla(net, nc.SQUARED_ERROR, quant_config(seed=s)) for s in (1, 2)]
+        lockstep = sla.run_traces(machines, _lockstep_sources([True, False]), 10)
+        single = sla.run_trace(sla.gf2_solver_sla(6), _lockstep_sources([True])[0], 10)
+        for trace in [*lockstep, single]:
+            for (x, _), _ in trace.pairs:
+                assert not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[0] = 0.0
+
     def test_needs_one_source_per_machine(self):
         with pytest.raises(ValueError):
             sla.run_traces([sla.constant_sla()], [], 5)
