@@ -364,10 +364,9 @@ def _apply_update(w, grad, gamma, delta, weight_clamp_b, quantization, sel=None)
     quantized as configured; only on the coordinates ``sel`` when given.
     grad is scaled in place into gamma * grad, which is returned (at sel)."""
     update = np.multiply(grad, gamma, out=grad)
-    if isinstance(delta, WeightVector):
-        delta = delta.values
     if delta is not None:
-        delta = np.asarray(delta, dtype=np.float64)
+        delta = np.asarray(delta.values if isinstance(delta, WeightVector) else delta,
+                           dtype=np.float64)
     if sel is not None:
         touched = w[sel] - update[sel]
         if delta is not None:
@@ -465,9 +464,11 @@ def budgeted_step(w, grads, config: DescentConfig, seeds, t):
 def _sample_descent(net, w, source, loss, config, record_steps, trainable, budget):
     """The loop of sgd_run and cd_run.  ``w`` is the run's own weight buffer
     and ``grad`` its gradient buffer: each step writes both in place, and the
-    net is wrapped around w once, when the run ends."""
+    net is wrapped around w once, when the run ends.  The gradient function
+    (NeuralNet._gradient_into) binds the loss and the output's activation,
+    and the decision cut is taken, once per run."""
     grad = np.zeros_like(w)
-    gradient = net._gradient_into(w, grad)
+    gradient = net._gradient_into(w, grad, loss)
     cut = decision_cut(net.activation_of(net.graph.output), loss)
     log = RunLog(algorithm="cd" if budget is not None else "sgd")
     edges = net.graph.edges
@@ -476,7 +477,7 @@ def _sample_descent(net, w, source, loss, config, record_steps, trainable, budge
     for t in range(1, config.steps + 1):
         x, y = source.next_sample()
         old = w.copy() if record_steps else None
-        grad, output = gradient(net._check_x(x), y, loss)
+        grad, output = gradient(net._check_x(x), y)
         acc = bool(_acc_bit(net, output, y, loss, cut))
         log.acc_bits.append(acc)
         if budget is not None:

@@ -409,6 +409,11 @@ def cmd_distinguish(config: dict, ctx: RunContext) -> int:
             machine(ctx.seed)  # an unbounded alphabet fails here, before any trace
     else:
         raise SchemaError(f"unknown machine {spec['machine']!r}")
+    if crosspred.pred_closed_form(dist, funcdist.UniformInputs(n)) is None:
+        raise SchemaError(
+            "the cap needs a closed-form cross-predictability: distribution.kind must be "
+            f"parity_uniform, monomial_k or uniform_all, got {spec['distribution']['kind']!r}"
+        )
     with _values_checked("distinguish"):
         sla.distinguish_cap(dist, spec["steps"], spec["trials"], spec["statistic"],
                             spec["cap_constant"])
@@ -523,7 +528,10 @@ def cmd_gridparity(config: dict, ctx: RunContext) -> int:
         raise SchemaError(f"unknown loss {spec['loss']!r}")
     loss = netcore.LOSSES[spec["loss"]]
     _int_list(spec["widths"], "gridparity.widths", low=1)
-    _at_least_one(spec["n_seeds"], "gridparity.n_seeds")
+    for key in ("grid_k", "epochs", "train_count", "test_count", "n_seeds"):
+        _at_least_one(spec[key], f"gridparity.{key}")
+    if not (math.isfinite(spec["gamma"]) and spec["gamma"] >= 0):
+        raise SchemaError(f"gridparity.gamma must be finite and >= 0, got {spec['gamma']}")
     seeds = [ctx.seed + i for i in range(spec["n_seeds"])]
 
     def worker(seed):

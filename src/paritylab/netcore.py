@@ -53,7 +53,14 @@ def _sigmoid(z, out=None, scratch=None):
     # exp(-|z|) this is 1/(1+e) for z >= 0 and e/(1+e) otherwise, bit for bit:
     # max(e, z >= 0) / (1+e), with one division.  e, then the result, goes in
     # ``out`` and 1+e in ``scratch``, each allocated when not given (``out``
-    # as an array even for a 0-d z); ``out`` may be z.
+    # as an array even for a 0-d z); ``out`` may be z.  One element (a
+    # single-sample output) takes the same operations on scalars, far cheaper.
+    if z.size == 1:
+        v = z.item()
+        e = np.exp(-abs(v))
+        out = np.empty_like(z) if out is None else out
+        out[...] = max(e, v >= 0) / (e + 1.0)
+        return out
     upper = z >= 0
     e = np.abs(z, out=np.empty_like(z) if out is None else out)
     np.negative(e, out=e)
@@ -89,7 +96,8 @@ def _relu_slope(z, fz, out=None):
     # one-sided subgradient: derivative 0 at z == 0
     if out is None:
         return (z > 0).astype(np.float64)
-    return np.greater(z, 0.0, out=out)
+    out[...] = z > 0  # a cast on assignment: np.greater's cast into float is slower
+    return out
 
 
 def _cosine_slope(z, fz, out=None):
@@ -435,12 +443,14 @@ class _LevelPlan:
       Its W^T is a dense block with structural zeros, holding edge
       edges[li][j] at flat position cells[li][j]; w_slice and b_slice are
       None.  A view plan's src is all None and its edges and cells empty.
+    fns[li] is level li's (f, f') from _ACT_TABLE, for the kernels to call.
     """
 
-    __slots__ = ("blocks", "acts", "src", "edges", "cells", "out_cols", "n_cols")
+    __slots__ = ("blocks", "acts", "fns", "src", "edges", "cells", "out_cols", "n_cols")
 
     def __init__(self, blocks, acts, src=None, edges=(), cells=(), out_cols=(), n_cols=None):
         self.blocks, self.acts = blocks, acts
+        self.fns = tuple(_ACT_TABLE[act.kind][:2] for act in acts)
         self.src = (None,) * len(blocks) if src is None else src
         self.edges, self.cells, self.out_cols, self.n_cols = edges, cells, out_cols, n_cols
 
@@ -475,23 +485,15 @@ class _LevelPlan:
             grad[..., edges] = gt.reshape(gt.shape[:-2] + (-1,))[..., cells]
 
 
-def _vecmat(a, m):
+def _vecmat(a, m, out=None):
     """a m for one input (in,) or a batch (rows, in) against one matrix
-    (in, out), or row k of a stack (K, in) against m[k] of a stack (K, in,
-    out).  A stack runs np.matmul on 3-D stacks, one BLAS call per slice, so
-    row k equals np.dot(a[k], m[k]) bit for bit whatever K is."""
+    (in, out), written into ``out`` when given, or row k of a stack (K, in)
+    against m[k] of a stack (K, in, out).  A stack runs np.matmul on 3-D
+    stacks, one BLAS call per slice, so row k equals np.dot(a[k], m[k]) bit
+    for bit whatever K is."""
     if m.ndim == 3:
         return np.matmul(a[:, None, :], m)[:, 0, :]
-    return np.dot(a, m)
-
-
-def _in_sums(a, wt, b):
-    """A level's pre-activations a W^T + b: one input or a batch against one
-    net's W^T, or a stack of inputs against a stack of nets' (see _vecmat)."""
-    z = _vecmat(a, wt)
-    if b is not None:
-        z += b
-    return z
+    return np.dot(a, m, out=out)
 
 
 def _gather(fs, src):
@@ -501,16 +503,58 @@ def _gather(fs, src):
                    axis=-1)
 
 
-def _forward(plan: _LevelPlan, views, xs):
-    """Per level its inputs a and pre-activations z, and the outputs f of
-    the inputs (xs) and of every level, at the weights whose plan.views are
-    given."""
+def _forward(plan: _LevelPlan, views, xs, bufs=None):
+    """Per level its inputs a and pre-activations z = a W^T + b, and the
+    outputs f of the inputs (xs) and of every level, at the weights whose
+    plan.views are given: one input or a batch against one net's W^T, or a
+    stack of inputs against a stack of nets' (see _vecmat).
+
+    ``bufs`` holds per level the z, f, slope and delta buffers (width,) of
+    one input (NeuralNet._gradient_into binds them).  With it each level's z
+    and f are written into its buffers, the slope buffer serving as the
+    sigmoid's scratch; without it they are new arrays."""
     ins, zs, fs = [], [], [xs]
-    for src, (wt, b), act in zip(plan.src, views, plan.acts):
+    for li, (src, (wt, b), (act, _)) in enumerate(zip(plan.src, views, plan.fns)):
+        z, f, scratch, _ = (None,) * 4 if bufs is None else bufs[li]
         ins.append(fs[-1] if src is None else _gather(fs, src))
-        zs.append(_in_sums(ins[-1], wt, b))
-        fs.append(act(zs[-1]))
+        zs.append(_vecmat(ins[-1], wt, z))
+        if b is not None:
+            zs[-1] += b
+        fs.append(act(zs[-1], f, scratch))
     return ins, zs, fs
+
+
+def _backward(plan: _LevelPlan, views, xs, ys, output_delta, bufs=None):
+    """Forward and backward through the levels at the weights whose
+    ``views`` (plan.views) are given: over one input (in,) with a scalar
+    label or a batch (rows, in) with labels (rows,) at a weight vector; or
+    over a stack of inputs (K, in) at a weight stack (K, n_edges), row k at
+    the weights of row k.  ``output_delta`` is NeuralNet._output_delta's
+    function, and ``bufs`` one input's buffers (see _forward).
+
+    Returns per level the level's inputs a (..., fan_in) and the loss
+    derivatives delta (..., width) at its pre-activations, plus the outputs.
+    Level li's weight gradient is the outer product a delta^T, in W^T's
+    layout, and its bias gradient delta.  On a gather plan each level's
+    dL/da is added into the columns it read, and a level's outputs take
+    theirs from their columns once every reader is done.
+    """
+    ins, zs, fs = _forward(plan, views, xs, bufs)
+    # .T[0] is the output column of a batch, a float64 scalar for one input
+    outputs = fs[-1].T[0]
+    d_cols = None if plan.n_cols is None else np.zeros(xs.shape[:-1] + (plan.n_cols,))
+    deltas = [None] * len(plan.fns)
+    delta = output_delta(outputs, ys, zs[-1].T[0])[..., None]
+    for li in range(len(plan.fns) - 1, -1, -1):
+        deltas[li] = delta
+        if li > 0:
+            _, _, slope, d = (None,) * 4 if bufs is None else bufs[li - 1]
+            back = _vecmat(delta, views[li][0].swapaxes(-1, -2), d if d_cols is None else None)
+            if d_cols is not None:
+                d_cols[..., plan.src[li]] += back
+                back = d_cols[..., plan.out_cols[li - 1]]
+            delta = np.multiply(back, plan.fns[li - 1][1](zs[li - 1], fs[li], slope), out=d)
+    return ins, deltas, outputs
 
 
 def _level_plan(graph: NetGraph, act_of) -> _LevelPlan:
@@ -660,13 +704,15 @@ class NeuralNet:
 
     # -- gradients ----------------------------------------------------------
 
-    def _output_delta(self, output, y, loss: LossKind, z_out):
-        """dL/d(pre-activation of the output vertex), elementwise."""
+    def _output_delta(self, loss: LossKind):
+        """dL/d(pre-activation of the output vertex), elementwise, as a
+        function (output, y, z_out) -> delta bound to the output's activation."""
         act = self.activation_of(self.graph.output)
         if loss.kind == "bce" and act.kind == "sigmoid":
             # (p - t): the sigmoid derivative cancels the BCE quotient exactly
-            return output - (1.0 - y) / 2.0
-        return loss.d_output(output, y) * act.derivative(z_out, output)
+            return lambda output, y, z_out: output - (1.0 - y) / 2.0
+        d_output, slope = loss.d_output, _ACT_TABLE[act.kind][1]
+        return lambda output, y, z_out: d_output(output, y) * slope(z_out, output)
 
     def gradient_array(self, x, y, loss: LossKind = SQUARED_ERROR):
         """Exact loss gradient, returned as (grad over edges, output value)."""
@@ -684,57 +730,32 @@ class NeuralNet:
             raise DimensionMismatch(f"bad batch shapes {xs.shape}, {ys.shape}")
         return xs, ys
 
-    def _gradient_into(self, w, out):
-        """The sample gradient at the weight buffer w, as a function (x, y,
-        loss) -> (gradient, output) of a checked input, for a loop that
-        updates w in place.  It writes the gradient into the buffer ``out``
-        through plan.views of w and out, bound once, here."""
+    def _gradient_into(self, w, out, loss: LossKind):
+        """The sample gradient of ``loss`` at the weight buffer w, as a
+        function (x, y) -> (gradient, output) of a checked input, for a loop
+        that updates w in place.  Everything a step needs is bound once,
+        here: plan.views of w and of the gradient buffer ``out``, the output
+        delta, and per level the z, f, slope and delta buffers (see
+        _forward) that each step overwrites; the output returned is a
+        float, as gradient_array's, not a view of them."""
         plan = self._plan()
         w_views, g_views = plan.views(w), plan.views(out, fill=False)
+        output_delta = self._output_delta(loss)
+        bufs = [tuple(np.empty((4, width))) for _, (_, width), _ in plan.blocks]
 
-        def gradient(x, y, loss):
+        def gradient(x, y):
             plan.scatter(w, w_views)
-            acts, deltas, output = self._backward(plan, w_views, x, y, loss)
+            acts, deltas, output = _backward(plan, w_views, x, y, output_delta, bufs)
             _write_gradient(acts, deltas, g_views)
             plan.gather(g_views, out)
-            return out, output
+            return out, float(output)
         return gradient
-
-    def _backward(self, plan: _LevelPlan, views, xs, ys, loss):
-        """Forward and backward through the levels at the weights whose
-        ``views`` (plan.views) are given: over one input (in,) with a scalar
-        label or a batch (rows, in) with labels (rows,) at a weight vector;
-        or over a stack of inputs (K, in) at a weight stack (K, n_edges), row
-        k at the weights of row k.
-
-        Returns per level the level's inputs a (..., fan_in) and the loss
-        derivatives delta (..., width) at its pre-activations, plus the
-        outputs.  Level li's weight gradient is the outer product a delta^T,
-        in W^T's layout, and its bias gradient delta.  On a gather plan each
-        level's dL/da is added into the columns it read, and a level's
-        outputs take theirs from their columns once every reader is done.
-        """
-        ins, zs, fs = _forward(plan, views, xs)
-        # .T[0] is the output column of a batch, a float64 scalar for one input
-        outputs = fs[-1].T[0]
-        d_cols = None if plan.n_cols is None else np.zeros(xs.shape[:-1] + (plan.n_cols,))
-        deltas = [None] * len(plan.acts)
-        delta = self._output_delta(outputs, ys, loss, zs[-1].T[0])[..., None]
-        for li in range(len(plan.acts) - 1, -1, -1):
-            deltas[li] = delta
-            if li > 0:
-                back = _vecmat(delta, views[li][0].swapaxes(-1, -2))
-                if d_cols is not None:
-                    d_cols[..., plan.src[li]] += back
-                    back = d_cols[..., plan.out_cols[li - 1]]
-                delta = back * plan.acts[li - 1].derivative(zs[li - 1], fs[li])
-        return ins, deltas, outputs
 
     def _gradient_at(self, plan: _LevelPlan, xs, ys, loss, w=None):
         """Gradient (..., n_edges) and outputs of one input, a batch, or a
         stack of inputs at the weight stack ``w``."""
         views = plan.views(self.weights.values if w is None else w)
-        acts, deltas, outputs = self._backward(plan, views, xs, ys, loss)
+        acts, deltas, outputs = _backward(plan, views, xs, ys, self._output_delta(loss))
         grads = np.zeros(xs.shape[:-1] + (self.n_edges,))
         g_views = plan.views(grads, fill=False)
         _write_gradient(acts, deltas, g_views)
@@ -870,7 +891,8 @@ class _PopulationWorkspace:
     """
 
     def __init__(self, net, plan, w, xs, ys, probs, loss, overflow_b):
-        self.net, self.plan, self.loss, self.overflow_b = net, plan, loss, overflow_b
+        self.plan, self.overflow_b = plan, overflow_b
+        self.output_delta = net._output_delta(loss)
         self.xs, self.ys, self.probs = xs, ys, probs
         self.views = plan.views(w)
         self.blocks = _row_blocks(xs.shape[0], net.n_edges)
@@ -941,7 +963,7 @@ class _PopulationWorkspace:
                 z += b
             act(z, f, self._scratch(*z.shape))
         z_out = zs[-1][:, 0]
-        z_out[...] = self.net._output_delta(fs[-1][:, 0], self.ys[block], self.loss, z_out)
+        z_out[...] = self.output_delta(fs[-1][:, 0], self.ys[block], z_out)
         for li in range(len(acts) - 1, 0, -1):
             # layer li - 1's delta, (delta W) * f'(z), over its pre-activations
             z = zs[li - 1]

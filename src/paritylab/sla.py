@@ -233,7 +233,7 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
     lock = threading.Lock()
     cached_w = w0.copy()
     applied: list = []  # the symbols cached_w reflects, in order
-    gradient = net._gradient_into(cached_w, np.zeros(n_e))
+    gradient = net._gradient_into(cached_w, np.zeros(n_e), loss)
 
     def apply(w, symbols):
         for changed, _ in symbols:
@@ -256,7 +256,7 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
             fresh = history[len(applied):]
             apply(cached_w, fresh)
             applied.extend(fresh)
-            grad, output = gradient(x, y, loss)
+            grad, output = gradient(x, y)
             sel, touched, _ = _descent.budgeted_step(cached_w[None], grad[None], config,
                                                      (config.seed,), t)
             changed = tuple(

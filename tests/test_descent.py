@@ -653,6 +653,31 @@ class TestOwnedWeightBuffer:
                            loss, cfg.gamma, cfg.weight_clamp_b, delta, cfg.quantization)
         assert step.weights.values.tobytes() == run.weights.values.tobytes()
 
+    @pytest.mark.parametrize("kind, loss", [
+        ("sigmoid", nc.SQUARED_ERROR), ("relu", nc.LOGISTIC_BCE), ("tanh", nc.SQUARED_ERROR),
+        ("dag", nc.SQUARED_ERROR), ("monomial", nc.SQUARED_ERROR),
+    ])
+    def test_sgd_run_is_a_chain_of_sgd_steps(self, kind, loss):
+        """Every step of a run, through the buffers its gradient function
+        binds once, equals sgd_step, which takes gradient_array afresh."""
+        if kind == "tanh":
+            net = nc.build_mlp(6, [5, 4], nc.TANH, nc.IDENTITY, init="he_uniform",
+                               rng=np.random.default_rng(4))
+        else:
+            net = _pinned_net(kind)
+        cfg = dc.DescentConfig(gamma=0.3, steps=12, seed=6)
+
+        def source():
+            return fd.SampleSource.planted(fd.ParitySubset(6, 0b100101), fd.UniformInputs(6),
+                                           seed=8)
+        run, log = dc.sgd_run(net, source(), loss, cfg)
+        chain, samples = net, source()
+        for t in range(cfg.steps):
+            x, y = samples.next_sample()
+            assert bool(dc._acc_bit(chain, chain.evaluate(x), y, loss)) == log.acc_bits[t]
+            chain = dc.sgd_step(chain, (x, y), loss, cfg.gamma)
+        assert chain.weights.values.tobytes() == run.weights.values.tobytes()
+
 
 class TestDiverged:
     @pytest.mark.parametrize("algorithm", ["sgd", "cd"])

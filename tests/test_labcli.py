@@ -364,15 +364,16 @@ _DISTINGUISH_BASE = {
 _SGD_SECTIONS = {"net": {"widths": [2]}, "descent": {"gamma": 0.25, "steps": 5}}
 
 
-def _run_distinguish(parameters, out_dir):
-    """labcli.main on a distinguish config: its exit code, stderr and manifest."""
+def _run_lab(command, parameters, out_dir):
+    """labcli.main on a config of ``command`` with lab seed 3, writing to
+    out_dir / "out": its exit code, stderr and manifest."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = write_config(out_dir, {"experiment": "distinguish", "seed": 3,
+    cfg = write_config(out_dir, {"experiment": command, "seed": 3,
                                  "output_dir": str(out_dir / "out"),
                                  "parameters": parameters})
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
-        code = labcli.main(["distinguish", "--config", str(cfg)])
+        code = labcli.main([command, "--config", str(cfg)])
     manifest = json.loads((out_dir / "out" / "manifest.json").read_text())
     return code, stderr.getvalue(), manifest
 
@@ -390,9 +391,11 @@ class TestDistinguishContract:
     ], ids=["steps0", "trials19", "statistic", "no_closed_form", "unbounded_alphabet",
             "negative_cap", "infinite_cap", "nan_cap"])
     def test_invalid_config_exits_2(self, tmp_path, change):
-        code, stderr, manifest = _run_distinguish({**_DISTINGUISH_BASE, **change}, tmp_path)
+        code, stderr, manifest = _run_lab("distinguish", {**_DISTINGUISH_BASE, **change},
+                                          tmp_path)
         assert code == 2
         assert len(stderr.strip().splitlines()) == 1 and "Traceback" not in stderr
+        assert "pred_value" not in stderr  # a lab config has no such key
         assert manifest["status"] == "invalid" and manifest["error"]
         assert not (tmp_path / "out" / "distinguish.json").exists()
 
@@ -429,10 +432,68 @@ class TestDistinguishContract:
         if cap is not None:
             parameters["cap_constant"] = cap
         with tempfile.TemporaryDirectory() as tmp:
-            code, stderr, manifest = _run_distinguish(parameters, Path(tmp))
+            code, stderr, manifest = _run_lab("distinguish", parameters, Path(tmp))
         assert code in (0, 2, 3)
         assert "Traceback" not in stderr
         assert manifest["status"] in ("ok", "invalid", "refused")
+
+
+_GRIDPARITY_BASE = {"grid_k": 2, "widths": [3], "epochs": 2, "train_count": 3,
+                    "test_count": 3, "gamma": 0.1, "n_seeds": 1}
+
+
+def _gridparity_csvs(out_dir):
+    return sorted(p.name for p in (out_dir / "out").glob("gridparity_*.csv"))
+
+
+class TestGridparityContract:
+    @pytest.mark.parametrize("change", [
+        {"grid_k": 0}, {"epochs": 0}, {"epochs": -1}, {"train_count": -1},
+        {"train_count": 0}, {"test_count": 0}, {"gamma": -1.0}, {"gamma": math.inf},
+        {"gamma": math.nan}, {"n_seeds": 0}, {"widths": [3, 0]}, {"loss": "hinge"},
+    ], ids=["grid_k0", "epochs0", "epochs-1", "train-1", "train0", "test0", "gamma-1",
+            "gamma_inf", "gamma_nan", "seeds0", "width0", "loss"])
+    def test_invalid_config_exits_2(self, tmp_path, change):
+        code, stderr, manifest = _run_lab("gridparity", {**_GRIDPARITY_BASE, **change},
+                                          tmp_path)
+        assert code == 2
+        assert len(stderr.strip().splitlines()) == 1 and "Traceback" not in stderr
+        assert manifest["status"] == "invalid" and manifest["error"]
+        assert _gridparity_csvs(tmp_path) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid_k=st.integers(-1, 3),
+        widths=st.lists(st.one_of(st.integers(-1, 3), st.just(1.5), st.just("2"),
+                                  st.just(True)), max_size=2),
+        epochs=st.integers(-1, 3),
+        train_count=st.integers(-1, 3),
+        test_count=st.integers(-1, 3),
+        gamma=st.sampled_from([0.1, 0.0, 2.0, -1.0, math.inf, -math.inf, math.nan]),
+        loss=st.sampled_from(["squared", "bce", "bogus"]),
+        n_seeds=st.integers(-1, 2),
+    )
+    def test_fuzzed_configs_keep_the_exit_contract(self, grid_k, widths, epochs, train_count,
+                                                   test_count, gamma, loss, n_seeds):
+        """Any config exits 0, 2 or 3, with no traceback, and leaves a
+        manifest with a status; only a run that exits 0 writes CSVs, and
+        their numbers are finite."""
+        parameters = {"grid_k": grid_k, "widths": widths, "epochs": epochs,
+                      "train_count": train_count, "test_count": test_count,
+                      "gamma": gamma, "loss": loss, "n_seeds": n_seeds}
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stderr, manifest = _run_lab("gridparity", parameters, Path(tmp))
+            csvs = _gridparity_csvs(Path(tmp))
+            rows = [row for name in csvs
+                    for row in read_csv_rows(Path(tmp) / "out" / name)[1]]
+        assert code in (0, 2, 3)
+        assert "Traceback" not in stderr
+        assert manifest["status"] in ("ok", "invalid", "refused")
+        if code == 0:
+            assert len(csvs) == n_seeds + 1
+            assert all(math.isfinite(float(v)) for row in rows for v in row)
+        else:
+            assert csvs == []
 
 
 class TestTrainCommand:

@@ -104,9 +104,14 @@ class TestEvaluate:
             reference = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
             got = nc._sigmoid(z.copy())
             scalars = [nc._sigmoid(np.asarray(v)) for v in z]
+            singles = [nc._sigmoid(np.array([v])) for v in z]
         assert got.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
         assert all(s.shape == () for s in scalars)
         assert np.array(scalars).view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+        # the one-element and 0-d path against the array path, byte for byte
+        assert all(s.shape == (1,) for s in singles)
+        assert np.array(scalars).tobytes() == got.tobytes()
+        assert np.concatenate(singles).tobytes() == got.tobytes()
 
     @staticmethod
     def _mask_form(z):
@@ -767,3 +772,90 @@ class TestGradientStack:
         net = nc.build_mlp(3, [2], nc.SIGMOID)
         with pytest.raises(nc.DimensionMismatch):
             net.gradient_stack(np.zeros((2, net.n_edges)), np.ones((3, 3)), np.ones(3))
+
+
+def _bound_step_net(case):
+    rng = np.random.default_rng(41)
+    if case == "criterion5":
+        return labcli._pytorch_uniform_net(25, [64, 64, 64], seed=42)
+    if case == "monomial":
+        net = nc.build_monomial_net(4, 2)  # cosine levels, identity readout
+        return net.with_weights(net.weights.values + rng.normal(0.0, 0.3, net.n_edges))
+    if case.startswith("dag_"):
+        return make_random_dag_net(rng, n_inputs=4, n_interior=7,
+                                   activation=nc.ACTIVATIONS[case[4:]])
+    hidden, out = case.split("_")
+    return nc.build_mlp(5, [6, 4], nc.ACTIVATIONS[hidden], nc.ACTIVATIONS[out],
+                        init="he_uniform", rng=rng)
+
+
+_BOUND_STEP_CASES = [
+    ("sigmoid_sigmoid", nc.SQUARED_ERROR), ("sigmoid_sigmoid", nc.LOGISTIC_BCE),
+    ("tanh_identity", nc.SQUARED_ERROR), ("relu_sigmoid", nc.LOGISTIC_BCE),
+    ("cosine_tanh", nc.SQUARED_ERROR), ("identity_identity", nc.SQUARED_ERROR),
+    ("criterion5", nc.SQUARED_ERROR),
+    ("monomial", nc.SQUARED_ERROR), ("dag_sigmoid", nc.SQUARED_ERROR),
+    ("dag_relu", nc.SQUARED_ERROR), ("dag_tanh", nc.SQUARED_ERROR),
+]
+
+
+class TestBoundStep:
+    """NeuralNet._gradient_into: one function per run, whose per-level
+    buffers every step overwrites."""
+
+    @staticmethod
+    def _steps(net, loss, gradient, w, seed, count=5):
+        """``count`` steps of a bound gradient function, w updated in place
+        between them: per step the weights, input, label, gradient and output."""
+        rng = np.random.default_rng(seed)
+        steps = []
+        for _ in range(count):
+            x = 1.0 - 2.0 * rng.integers(0, 2, size=net.n_inputs).astype(float)
+            y = 1.0 - 2.0 * float(rng.integers(0, 2))
+            weights = w.copy()
+            grad, output = gradient(x, y)
+            steps.append((weights, x, y, grad.copy(), output, np.asarray(output).tobytes()))
+            w -= 0.05 * grad
+        return steps
+
+    @pytest.mark.parametrize("case, loss", _BOUND_STEP_CASES,
+                             ids=[f"{c}-{l.kind}" for c, l in _BOUND_STEP_CASES])
+    def test_steps_equal_gradient_array_and_stack_rows(self, case, loss):
+        net = _bound_step_net(case)
+        assert is_view_plan(net) == (case != "monomial" and not case.startswith("dag_"))
+        w = net.weights.values.copy()
+        steps = self._steps(net, loss, net._gradient_into(w, np.zeros_like(w), loss), w, 43)
+        weights, xs, ys = (np.array([s[i] for s in steps]) for i in range(3))
+        stack, stack_outputs = net.gradient_stack(weights, xs, ys, loss)
+        for k, (wk, x, y, grad, output, output_bytes) in enumerate(steps):
+            ref, ref_output = net.with_weights(wk).gradient_array(x, y, loss)
+            assert grad.tobytes() == ref.tobytes() == stack[k].tobytes()
+            assert output == ref_output == stack_outputs[k]
+            # later steps rewrote the buffers, not the output this step returned
+            assert np.asarray(output).tobytes() == output_bytes
+
+    @pytest.mark.parametrize("case", ["relu_sigmoid", "dag_sigmoid"])
+    def test_runs_and_plain_calls_share_no_buffers(self, case):
+        """Two functions bound on one net (and its shared plan), stepped in
+        turn, each equal a run of its own; a gradient_array result taken
+        between their steps is not written by them."""
+        net = _bound_step_net(case)
+        runs = []
+        for seed in (44, 45):
+            w = net.weights.values.copy()
+            runs.append(self._steps(net, nc.SQUARED_ERROR,
+                                    net._gradient_into(w, np.zeros_like(w), nc.SQUARED_ERROR),
+                                    w, seed))
+        wa, wb = net.weights.values.copy(), net.weights.values.copy()
+        fa = net._gradient_into(wa, np.zeros_like(wa), nc.SQUARED_ERROR)
+        fb = net._gradient_into(wb, np.zeros_like(wb), nc.SQUARED_ERROR)
+        plain, plain_output = net.gradient_array(runs[0][0][1], runs[0][0][2])
+        plain_bytes = plain.tobytes()
+        for (_, xa, ya, ga, oa, _), (_, xb, yb, gb, ob, _) in zip(*runs):
+            grad_a, out_a = fa(xa, ya)
+            assert grad_a.tobytes() == ga.tobytes() and out_a == oa
+            wa -= 0.05 * grad_a
+            grad_b, out_b = fb(xb, yb)
+            assert grad_b.tobytes() == gb.tobytes() and out_b == ob
+            wb -= 0.05 * grad_b
+        assert plain.tobytes() == plain_bytes and plain_output == runs[0][0][4]
