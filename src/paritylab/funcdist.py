@@ -741,7 +741,7 @@ def aer_sample(n: int, m: float, r: int, seed: int) -> Graph:
     choice (also flagged in run manifests).  Edge probability is min(1, m/n),
     clamped because useful settings like m = 10 ln(n) exceed n at small n.
     """
-    if n < 1 or m < 0 or r < 3:
+    if n < 1 or not m >= 0 or r < 3:  # NaN fails too
         raise ValueError("need n >= 1, m >= 0, r >= 3")
     rng = np.random.default_rng(seed)
     p = min(1.0, m / n)

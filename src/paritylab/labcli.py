@@ -82,9 +82,9 @@ def _int_list(values: list, where: str, low=None, high=None) -> list:
     return values
 
 
-def _at_least_one(value: int, where: str):
-    if value < 1:
-        raise SchemaError(f"{where} must be >= 1, got {value}")
+def _at_least(value, low, where: str):
+    if not value >= low:  # NaN fails too
+        raise SchemaError(f"{where} must be >= {low}, got {value}")
 
 
 @contextmanager
@@ -226,6 +226,8 @@ def cmd_xpred(config: dict, ctx: RunContext) -> int:
         },
         "xpred",
     )
+    for key in ("outer_pairs", "inner_x"):
+        _at_least(spec[key], 2, f"xpred.{key}")
     dist = _dist_from_config(spec["distribution"])
     inputs = funcdist.UniformInputs(dist.n)
     method = spec["method"]
@@ -529,7 +531,7 @@ def cmd_gridparity(config: dict, ctx: RunContext) -> int:
     loss = netcore.LOSSES[spec["loss"]]
     _int_list(spec["widths"], "gridparity.widths", low=1)
     for key in ("grid_k", "epochs", "train_count", "test_count", "n_seeds"):
-        _at_least_one(spec[key], f"gridparity.{key}")
+        _at_least(spec[key], 1, f"gridparity.{key}")
     if not (math.isfinite(spec["gamma"]) and spec["gamma"] >= 0):
         raise SchemaError(f"gridparity.gamma must be finite and >= 0, got {spec['gamma']}")
     seeds = [ctx.seed + i for i in range(spec["n_seeds"])]
@@ -659,12 +661,14 @@ def cmd_bounds(config: dict, ctx: RunContext) -> int:
             },
             "bounds.gd_grid[]",
         )
-        if e["sigma2"] <= 0:
-            raise SchemaError("bound_gd is undefined at sigma^2 = 0: "
+        if not e["sigma2"] > 0:
+            raise SchemaError(f"bound_gd needs sigma^2 > 0, got {e['sigma2']}: "
                               "the noiseless algorithm has no accuracy cap")
+        with _values_checked("bounds.gd_grid[]"):
+            bound = sla.bound_gd(e["gamma"], e["overflow_b"], e["steps"], e["m"], e["n"],
+                                 e["sigma2"])
         rows.append(
-            ("gd", e["gamma"], e["overflow_b"], e["steps"], e["m"], e["n"], e["sigma2"],
-             sla.bound_gd(e["gamma"], e["overflow_b"], e["steps"], e["m"], e["n"], e["sigma2"]))
+            ("gd", e["gamma"], e["overflow_b"], e["steps"], e["m"], e["n"], e["sigma2"], bound)
         )
     for entry in spec["sgd_grid"]:
         e = _check_keys(
@@ -680,11 +684,11 @@ def cmd_bounds(config: dict, ctx: RunContext) -> int:
             },
             "bounds.sgd_grid[]",
         )
-        rows.append(
-            ("sgd", e["gamma"], e["overflow_b"], e["steps"], e["m"], e["n"], e["p"],
-             sla.bound_sgd(e["steps"], e["m"], e["overflow_b"], e["gamma"], e["n"],
-                           e["p"], e["c_const"]))
-        )
+        with _values_checked("bounds.sgd_grid[]"):
+            bound = sla.bound_sgd(e["steps"], e["m"], e["overflow_b"], e["gamma"], e["n"],
+                                  e["p"], e["c_const"])
+        rows.append(("sgd", e["gamma"], e["overflow_b"], e["steps"], e["m"], e["n"], e["p"],
+                     bound))
     # the empirical block is checked and run before any file is written
     result = _bounds_empirical(spec["empirical"], ctx.seed) if spec["empirical"] else None
     _write_csv(
@@ -711,16 +715,19 @@ def _bounds_empirical(section: dict, seed: int) -> dict:
         },
         "bounds.empirical",
     )
-    if e["sigma2"] <= 0:
-        raise SchemaError("empirical noisy-GD run needs sigma^2 > 0")
+    if not e["sigma2"] > 0:
+        raise SchemaError(f"empirical noisy-GD run needs sigma^2 > 0, got {e['sigma2']}")
     _int_list(e["widths"], "bounds.empirical.widths", low=1)
-    _at_least_one(e["n_parities"], "bounds.empirical.n_parities")
+    _at_least(e["n_parities"], 1, "bounds.empirical.n_parities")
+    # the cap is taken before the runs, so arguments it refuses exit 2 up front
+    with _values_checked("bounds.empirical"):
+        net_edges = netcore.build_mlp(e["n"], e["widths"], netcore.SIGMOID).n_edges
+        bound = sla.bound_gd(e["gamma"], e["overflow_b"], e["steps"], net_edges, e["n"],
+                             e["sigma2"])
     accs = noisy_gd_parity_accuracies(
         n=e["n"], widths=e["widths"], gamma=e["gamma"], overflow_b=e["overflow_b"],
         steps=e["steps"], sigma2=e["sigma2"], n_parities=e["n_parities"], seed=seed,
     )
-    net_edges = netcore.build_mlp(e["n"], e["widths"], netcore.SIGMOID).n_edges
-    bound = sla.bound_gd(e["gamma"], e["overflow_b"], e["steps"], net_edges, e["n"], e["sigma2"])
     return {
         "mean_accuracy": float(np.mean(accs)),
         "accuracies": [float(a) for a in accs],
@@ -762,6 +769,7 @@ def cmd_gen_aer(config: dict, ctx: RunContext) -> int:
         },
         "gen-aer",
     )
+    _at_least(spec["count"], 1, "gen-aer.count")
     rows = []
     for i in range(spec["count"]):
         with _values_checked("gen-aer"):

@@ -20,6 +20,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -148,30 +149,40 @@ def run_traces(machines: Sequence[SlaStateMachine], sources: Sequence[SampleSour
     so does every machine when two entries share a source object (run_trace
     would draw their samples one trace after the other).
     """
+    return list(_trace_stream(machines, sources, steps))
+
+
+def _trace_stream(machines, sources, steps: int):
+    """run_traces' traces, yielded one at a time in machine order.  A stack
+    runs all its steps when its first member is reached, then hands out its
+    traces as its members come up; no yielded trace is kept."""
     if len(machines) != len(sources):
         raise ValueError("need one source per machine")
     if steps < 1:
         raise ValueError("need steps >= 1")
-    traces: list = [None] * len(machines)
-    stacks: dict = {}
     distinct = len({id(src) for src in sources}) == len(sources)
-    for i, machine in enumerate(machines):
-        if distinct and machine.budgeted_sgd is not None:
-            stacks.setdefault(machine.budgeted_sgd.stack_key(), []).append(i)
-        else:
-            traces[i] = run_trace(machine, sources[i], steps)
-    for members in stacks.values():
-        stacked = _lockstep_traces(
-            [machines[i].budgeted_sgd for i in members], [sources[i] for i in members], steps
-        )
-        for i, trace in zip(members, stacked):
-            traces[i] = trace
-    return traces
+    keys = [
+        m.budgeted_sgd.stack_key() if distinct and m.budgeted_sgd is not None else None
+        for m in machines
+    ]
+    stacks: dict = {}
+    for i, key in enumerate(keys):
+        if key is None:
+            yield run_trace(machines[i], sources[i], steps)
+            continue
+        if key not in stacks:
+            members = [j for j in range(i, len(keys)) if keys[j] == key]
+            stacks[key] = _lockstep_traces(
+                [machines[j].budgeted_sgd for j in members], [sources[j] for j in members], steps
+            )
+        yield next(stacks[key])
 
 
-def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int) -> list:
+def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int):
     """The traces of K budgeted-SGD machines that differ only in seed, with
-    their weights as the rows of one stack."""
+    their weights as the rows of one stack.  A generator: every step runs
+    before the first trace is built, then the traces are built and yielded
+    one at a time, in order."""
     net, loss, config = runs[0].net, runs[0].loss, runs[0].config
     seeds = [run.config.seed for run in runs]
     w = np.stack([run.w0 for run in runs])
@@ -183,21 +194,25 @@ def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int) -> list:
     for k, src in enumerate(sources):
         block[:, k], labels[:, k] = src.take(steps)
     block.setflags(write=False)
-    pairs: list = [[] for _ in runs]
+    # step t's symbols, for every row: the coordinates, their new values,
+    # which of them changed, and the accuracy bits
+    shape = (steps, len(runs), min(config.coord_budget, net.n_edges))
+    sel = np.empty(shape, dtype=np.intp)
+    new = np.empty(shape)
+    changed = np.empty(shape, dtype=bool)
+    acc = np.empty((steps, len(runs)), dtype=bool)
     for t in range(1, steps + 1):
-        xs, ys = block[t - 1], labels[t - 1]
-        zs = list(zip(xs, ys.tolist()))
-        grads, outputs = net.gradient_stack(w, xs, ys, loss)
-        accs = _descent._acc_bit(net, outputs, ys, loss).tolist()
-        sel, touched, _ = _descent.budgeted_step(w, grads, config, seeds, t)
-        old = w[rows, sel]
-        w[rows, sel] = touched
-        for k, (z, coords, new, was) in enumerate(
-            zip(zs, sel.tolist(), touched.tolist(), old.tolist())
-        ):
-            changed = tuple((i, v) for i, v, o in zip(coords, new, was) if v != o)
-            pairs[k].append((z, (changed, accs[k])))
-    return [TraceRecord(pairs=tuple(p)) for p in pairs]
+        grads, outputs = net.gradient_stack(w, block[t - 1], labels[t - 1], loss)
+        acc[t - 1] = _descent._acc_bit(net, outputs, labels[t - 1], loss)
+        sel[t - 1], new[t - 1], _ = _descent.budgeted_step(w, grads, config, seeds, t)
+        np.not_equal(new[t - 1], w[rows, sel[t - 1]], out=changed[t - 1])
+        w[rows, sel[t - 1]] = new[t - 1]
+    for k in range(len(runs)):
+        # step t's symbol is (the (coordinate, value) pairs that changed, acc bit)
+        kept = map(tuple, map(compress, map(zip, sel[:, k].tolist(), new[:, k].tolist()),
+                              changed[:, k].tolist()))
+        zs = zip(block[:, k], labels[:, k].tolist())
+        yield TraceRecord(pairs=tuple(zip(zs, zip(kept, acc[:, k].tolist()))))
 
 
 # ---------------------------------------------------------------------------
@@ -436,33 +451,28 @@ def distinguish_experiment(
             return machine
         return machine(_derived_seed(seed, tag, index))
 
-    def phase_stats(tag: int, sources) -> np.ndarray:
-        # the phase's traces run together (in lockstep where they stack)
-        machines = [make_machine(tag, i) for i in range(len(sources))]
-        traces = run_traces(machines, sources, steps)
-        return np.array([
-            _trace_statistic(trace, mach, statistic) for trace, mach in zip(traces, machines)
-        ])
-
     n_cal = calibration_trials if calibration_trials is not None else trials
-    cal_stats = phase_stats(0, [
-        SampleSource.null(inputs, seed=_derived_seed(seed, 0, i)) for i in range(n_cal)
+    phases = ((0, n_cal), (1, trials), (2, trials))
+    fn_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
+    sources = [
+        SampleSource.planted(dist.draw(fn_rng), inputs, seed=_derived_seed(seed, tag, i))
+        if tag == 1 else SampleSource.null(inputs, seed=_derived_seed(seed, tag, i))
+        for tag, count in phases for i in range(count)
+    ]
+    machines = [make_machine(tag, i) for tag, count in phases for i in range(count)]
+    # every phase's traces run together (in lockstep where they stack), and
+    # each is reduced to its statistic as it arrives
+    stats = np.array([
+        _trace_statistic(trace, mach, statistic)
+        for trace, mach in zip(_trace_stream(machines, sources, steps), machines)
     ])
+    cal_stats, planted, null = np.split(stats, [n_cal, n_cal + trials])
     distinct = np.unique(cal_stats)
     if len(distinct) <= 2:
         # binary statistic: the only nondegenerate cut is between its two values
         threshold = float(distinct.mean())
     else:
         threshold = float(np.quantile(cal_stats, 0.95, method="higher"))
-
-    fn_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
-    planted = phase_stats(1, [
-        SampleSource.planted(dist.draw(fn_rng), inputs, seed=_derived_seed(seed, 1, i))
-        for i in range(trials)
-    ])
-    null = phase_stats(2, [
-        SampleSource.null(inputs, seed=_derived_seed(seed, 2, i)) for i in range(trials)
-    ])
     correct = int(np.count_nonzero(planted > threshold) + np.count_nonzero(null <= threshold))
     total = 2 * trials
     accuracy = correct / total
@@ -524,7 +534,7 @@ def accuracy_eval(
 def bound_gd(gamma: float, b: float, steps: float, m: float, n: float, sigma2: float) -> float:
     """Accuracy cap for bounded-noisy population GD:
     min(1, 1/2 + gamma*B*T*sqrt(m * 2^-n / (2*pi*sigma^2)))."""
-    if min(gamma, b, m, n, sigma2) <= 0 or steps < 0:
+    if not all(v > 0 for v in (gamma, b, m, n, sigma2)) or not steps >= 0:  # NaN fails
         raise ValueError("all bound_gd arguments must be positive (steps >= 0)")
     return min(1.0, 0.5 + gamma * b * steps * math.sqrt(m * 2.0 ** (-n) / (2 * math.pi * sigma2)))
 
@@ -534,7 +544,7 @@ def bound_sgd(
 ) -> float:
     """Accuracy cap for perturbed noisy SGD: min(1, 1/2 + 2p + c*T*m^4*B^2*gamma^2/n).
     The O(.) constant is the caller's ``c_const``."""
-    if min(m, b, gamma, n) <= 0 or steps < 0 or p < 0:
+    if not all(v > 0 for v in (m, b, gamma, n)) or not (steps >= 0 and p >= 0 and c_const >= 0):
         raise ValueError("bad bound_sgd arguments")
     return min(1.0, 0.5 + 2 * p + c_const * steps * m ** 4 * b ** 2 * gamma ** 2 / n)
 
@@ -542,7 +552,7 @@ def bound_sgd(
 def bound_sgd_elaborated(steps: float, m: float, b: float, gamma: float, n: float, p: float) -> float:
     """The fully explicit variant: 1/2 + 2p + T*(360 m^4 B^2 gamma^2 / (pi n)
     + 7 (e/4)^(n/4)), clamped to 1."""
-    if min(m, b, gamma, n) <= 0 or steps < 0 or p < 0:
+    if not all(v > 0 for v in (m, b, gamma, n)) or not (steps >= 0 and p >= 0):
         raise ValueError("bad bound_sgd_elaborated arguments")
     tail = 7.0 * (math.e / 4.0) ** (n / 4.0)
     return min(1.0, 0.5 + 2 * p + steps * (360 * m ** 4 * b ** 2 * gamma ** 2 / (math.pi * n) + tail))
@@ -554,7 +564,7 @@ def bound_gd_crosspred(
     """Provisional general-distribution GD cap: 1/2 + gamma*A*Pred^(1/4)*sqrt(|E|)*S/sigma.
     Transcribed from an elaboration whose constant is unsettled; treat as
     indicative only."""
-    if min(pred, gamma, overflow, n_edges, sigma) <= 0 or steps < 0:
+    if not all(v > 0 for v in (pred, gamma, overflow, n_edges, sigma)) or not steps >= 0:
         raise ValueError("bad bound_gd_crosspred arguments")
     return min(1.0, 0.5 + gamma * overflow * pred ** 0.25 * math.sqrt(n_edges) * steps / sigma)
 

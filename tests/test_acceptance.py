@@ -3,6 +3,7 @@
 Run with:  pytest tests/test_acceptance.py -v -s
 """
 
+import dataclasses
 import json
 import math
 
@@ -235,6 +236,53 @@ def test_criterion_09_machine_moves_only_the_output_bias():
     touched = {i for trace in sla.run_traces(machines, sources, steps)
                for changed, _ in trace.symbols for i, _ in changed}
     assert touched == {bias}
+
+
+def test_criterion_09_companion_machine_trains_hidden_layers():
+    """Criterion 9 with a bounded-memory machine that trains the whole net:
+    the random-k rule with budget 1 and 12-bit weights with 8 fractional bits
+    (step 2^-8, fine enough for gamma * |gradient| to survive rounding on the
+    hidden layer), on criterion 9's n, net, gamma, steps and trials.  It must
+    still fail to distinguish, while touching hidden-layer edges, and the
+    full-memory GF(2) solver must distinguish at the same step count."""
+    n, seed, steps, trials = 16, 99, 200, 200
+    base_net = nc.build_mlp(n, [8], nc.SIGMOID, init="he_uniform",
+                            rng=np.random.default_rng(909))
+    graph = base_net.graph
+    hidden = {i for i, (_, v) in enumerate(graph.edges) if v != graph.output}
+    touched = set()
+
+    def record(symbol):
+        # prediction_count reads the second half of every trace's symbols
+        touched.update(i for i, _ in symbol[0])
+        return float(symbol[1])
+
+    def factory(trial_seed: int) -> sla.SlaStateMachine:
+        cfg = dc.DescentConfig(gamma=0.1, steps=steps, coord_budget=1, coord_rule="randomk",
+                               quantization=nc.QuantizationSpec(12, 8), seed=trial_seed)
+        machine = sla.sgd_as_sla(base_net, nc.SQUARED_ERROR, cfg)
+        return dataclasses.replace(machine, symbol_stat=record)
+
+    result = sla.distinguish_experiment(
+        factory, fd.ParityUniform(n), steps=steps, trials=trials,
+        statistic="prediction_count", seed=seed,
+    )
+    solver = sla.distinguish_experiment(
+        sla.gf2_solver_sla(n), fd.ParityUniform(n), steps=steps, trials=trials,
+        statistic="prediction_count", seed=seed,
+    )
+    overlaps = result.ci_low <= 0.55 and result.ci_high >= 0.45
+    trains_hidden = bool(touched & hidden)
+    solver_distinguishes = solver.ci_low > 0.55
+    ok = overlaps and trains_hidden and solver_distinguishes
+    detail = (f"random-k, budget 1, 12/8-bit weights: accuracy {result.accuracy:.3f}, "
+              f"exact binomial CI [{result.ci_low:.3f}, {result.ci_high:.3f}] overlaps "
+              f"[0.45, 0.55], cap {result.theoretical_cap:.3f}; touched "
+              f"{len(touched & hidden)} hidden-layer and {len(touched - hidden)} output-layer "
+              f"edges of {graph.n_edges}; GF(2) solver accuracy {solver.accuracy:.3f}, "
+              f"CI [{solver.ci_low:.3f}, {solver.ci_high:.3f}]")
+    print(f"{'PASS' if ok else 'FAIL'} criterion 9 companion: {detail}")
+    assert ok, f"criterion 9 companion: {detail}"
 
 
 def test_criterion_10_aer_girth():

@@ -496,6 +496,98 @@ class TestGridparityContract:
             assert csvs == []
 
 
+_MIXTURE_16 = {"kind": "constant_mixture", "n": 16, "p_const": 0.25}
+_GD_ROW = {"gamma": 0.1, "overflow_b": 1.0, "steps": 10, "m": 50, "n": 10, "sigma2": 0.5}
+_EMPIRICAL = {"n": 4, "widths": [3], "steps": 2, "sigma2": 0.5, "n_parities": 1}
+
+
+_FUZZ_FLOATS = st.sampled_from([0.5, 2.0, 0.0, -1.0, math.inf, -math.inf, math.nan])
+_FUZZ_INTS = st.integers(-1, 3)
+_CONTRACT_FUZZ = {
+    "xpred": st.fixed_dictionaries({
+        "distribution": st.one_of(
+            st.builds(lambda n: {"kind": "parity_uniform", "n": n}, _FUZZ_INTS),
+            st.builds(lambda p: {"kind": "constant_mixture", "n": 3, "p_const": p},
+                      _FUZZ_FLOATS)),
+        "method": st.sampled_from(["auto", "exact", "closed_form", "monte_carlo", "bogus"]),
+        "outer_pairs": _FUZZ_INTS,
+        "inner_x": _FUZZ_INTS,
+    }),
+    "bounds": st.fixed_dictionaries({
+        "gd_grid": st.lists(st.fixed_dictionaries({
+            "gamma": _FUZZ_FLOATS, "overflow_b": _FUZZ_FLOATS, "steps": _FUZZ_INTS,
+            "m": _FUZZ_INTS, "n": _FUZZ_INTS, "sigma2": _FUZZ_FLOATS}), max_size=1),
+        "sgd_grid": st.lists(st.fixed_dictionaries({
+            "gamma": _FUZZ_FLOATS, "overflow_b": _FUZZ_FLOATS, "steps": _FUZZ_INTS,
+            "m": _FUZZ_INTS, "n": _FUZZ_INTS, "p": _FUZZ_FLOATS,
+            "c_const": _FUZZ_FLOATS}), max_size=1),
+    }),
+    "gen-aer": st.fixed_dictionaries({
+        "n": st.integers(-1, 6), "m": _FUZZ_FLOATS, "r": st.integers(2, 4),
+        "count": _FUZZ_INTS,
+    }),
+}
+
+
+class TestCommandContracts:
+    """xpred, bounds and gen-aer refuse these configs up front: exit 2 with a
+    one-line reason, an invalid manifest and no result file."""
+
+    @pytest.mark.parametrize("command, parameters", [
+        ("xpred", {"distribution": _MIXTURE_16, "outer_pairs": 1}),
+        ("xpred", {"distribution": _MIXTURE_16, "inner_x": 1}),
+        ("bounds", {"empirical": {**_EMPIRICAL, "steps": -1}}),
+        ("bounds", {"empirical": {**_EMPIRICAL, "gamma": 0.0}}),
+        ("bounds", {"empirical": {**_EMPIRICAL, "sigma2": math.nan}}),
+        ("bounds", {"gd_grid": [{**_GD_ROW, "steps": -10}]}),
+        ("bounds", {"gd_grid": [{**_GD_ROW, "sigma2": math.nan}]}),
+        ("bounds", {"gd_grid": [{**_GD_ROW, "gamma": math.nan}]}),
+        ("bounds", {"sgd_grid": [{"gamma": 0.1, "overflow_b": 1.0, "steps": 10, "m": 5,
+                                  "n": 8, "p": -0.5}]}),
+        ("bounds", {"sgd_grid": [{"gamma": 0.1, "overflow_b": 1.0, "steps": 10, "m": 5,
+                                  "n": 8, "c_const": -100.0}]}),
+        ("bounds", {"sgd_grid": [{"gamma": 0.1, "overflow_b": 1.0, "steps": 10, "m": 5,
+                                  "n": 8, "c_const": math.nan}]}),
+        ("gen-aer", {"n": 20, "m": math.nan, "r": 3}),
+        ("gen-aer", {"n": 20, "m": 3.0, "r": 3, "count": 0}),
+    ], ids=["xpred_outer1", "xpred_inner1", "empirical_steps-1", "empirical_gamma0",
+            "empirical_sigma2_nan", "gd_steps-10", "gd_sigma2_nan", "gd_gamma_nan",
+            "sgd_p-0.5", "sgd_c-100", "sgd_c_nan", "aer_m_nan", "aer_count0"])
+    def test_invalid_config_exits_2(self, tmp_path, command, parameters):
+        code, stderr, manifest = _run_lab(command, parameters, tmp_path)
+        assert code == 2
+        assert len(stderr.strip().splitlines()) == 1 and "Traceback" not in stderr
+        assert manifest["status"] == "invalid" and manifest["error"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+
+    @pytest.mark.parametrize("command", ["xpred", "bounds", "gen-aer"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_configs_keep_the_exit_contract(self, command, data):
+        """Any config exits 0, 2 or 3, with no traceback, and leaves a
+        manifest with a status; only a run that exits 0 writes results, and
+        what they compute is in range.  (bounds' empirical block is left out:
+        it trains nets.)"""
+        parameters = data.draw(_CONTRACT_FUZZ[command])
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stderr, manifest = _run_lab(command, parameters, Path(tmp))
+            out = Path(tmp) / "out"
+            results = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+            if code == 0 and command == "xpred":
+                values = [json.loads((out / "xpred.json").read_text())["value"]]
+            elif code == 0 and command == "bounds":
+                values = [float(row[-1]) for row in read_csv_rows(out / "bounds.csv")[1]]
+        assert code in (0, 2, 3)
+        assert "Traceback" not in stderr
+        assert manifest["status"] in ("ok", "invalid", "refused")
+        if code != 0:
+            assert results == []
+        elif command == "gen-aer":
+            assert len(results) == parameters["count"] + 1
+        else:
+            assert all(0.0 <= v <= 1.0 for v in values)
+
+
 class TestTrainCommand:
     def test_sgd_smoke(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -274,6 +275,30 @@ class TestDistinguishExperiment:
         assert doc["trials_per_hypothesis"] == 20
         assert 0.0 <= doc["ci_low"] <= doc["ci_high"] <= 1.0
 
+    @pytest.mark.parametrize("statistic", ["prediction_count", "final_acc_bit"])
+    @pytest.mark.parametrize("rule", ["topk", "randomk"])
+    def test_one_stack_equals_trace_by_trace(self, rule, statistic):
+        """The experiment's one lockstep stack over all three phases gives
+        the report of running every trace through run_trace."""
+        net = small_net()
+
+        def stacked(seed):
+            return sla.sgd_as_sla(net, nc.SQUARED_ERROR, dc.DescentConfig(
+                gamma=0.5, steps=16, coord_budget=2, coord_rule=rule,
+                quantization=nc.QuantizationSpec(8, 4), seed=seed))
+
+        def unstacked(seed):
+            return dataclasses.replace(stacked(seed), budgeted_sgd=None)
+
+        kwargs = dict(dist=fd.ParityUniform(6), steps=16, trials=20, statistic=statistic,
+                      seed=7, calibration_trials=23)
+        with mock.patch.object(sla, "run_trace", wraps=sla.run_trace) as sequential:
+            lockstep = sla.distinguish_experiment(stacked, **kwargs)
+            assert sequential.call_count == 0
+            separate = sla.distinguish_experiment(unstacked, **kwargs)
+            assert sequential.call_count == 23 + 2 * 20
+        assert lockstep == separate
+
 
 class TestAccuracyEval:
     def test_constant_net_vs_balanced_function(self):
@@ -483,6 +508,36 @@ class TestRunTraces:
         separate = [sla.run_trace(m, s, steps)
                     for m, s in zip(machines, _lockstep_sources(kinds))]
         assert all(_same_pairs(a, b) for a, b in zip(lockstep, separate))
+
+    def test_stacks_interleaved_with_other_machines(self):
+        """Two stacks (configs that differ in gamma) whose members are
+        interleaved with each other and with machines that do not stack."""
+        net = small_net()
+        sgd = [sla.sgd_as_sla(net, nc.SQUARED_ERROR, quant_config(gamma=g, seed=s))
+               for g, s in [(0.25, 1), (0.5, 2), (0.25, 3), (0.5, 4), (0.25, 5)]]
+        machines = [sgd[0], sla.gf2_solver_sla(6), sgd[1], sla.constant_sla(), sgd[2],
+                    sgd[3], sla.gf2_solver_sla(6), sgd[4]]
+        kinds = [True, False, False, True, True, False, True, False]
+        with mock.patch.object(sla, "run_trace", wraps=sla.run_trace) as sequential:
+            traces = sla.run_traces(machines, _lockstep_sources(kinds), 15)
+        assert sequential.call_count == 3
+        separate = [sla.run_trace(m, s, 15) for m, s in zip(machines, _lockstep_sources(kinds))]
+        assert all(_same_pairs(a, b) for a, b in zip(traces, separate))
+
+    def test_stream_keeps_no_consumed_trace(self):
+        """Once the consumer drops a yielded trace it is freed, also while
+        the rest of its stack is still to come."""
+        net = small_net()
+        machines = [sla.sgd_as_sla(net, nc.SQUARED_ERROR, quant_config(seed=1)),
+                    sla.gf2_solver_sla(6),
+                    sla.sgd_as_sla(net, nc.SQUARED_ERROR, quant_config(seed=2))]
+        stream = sla._trace_stream(machines, _lockstep_sources([True, False, True]), 10)
+        refs = []
+        for trace in stream:
+            refs.append(weakref.ref(trace))
+            del trace
+            assert refs[-1]() is None
+        assert len(refs) == 3
 
     def test_lockstep_trace_replays_to_cd_run(self):
         net = small_net()
