@@ -350,6 +350,10 @@ def cmd_train(config: dict, ctx: RunContext) -> int:
         f = funcdist.ParitySubset(n, spec["function_mask"])
     net = _net_from_config(spec["net"], n, seed=ctx.seed)
     config_d = _descent_config(spec["descent"], seed=ctx.seed)
+    if spec["algorithm"] == "cd" and config_d.coord_budget is None:
+        raise SchemaError("algorithm 'cd' needs descent.coord_budget >= 1")
+    if spec["algorithm"] == "gd" and config_d.coord_budget is not None:
+        raise SchemaError("algorithm 'gd' updates every edge: descent.coord_budget must be 0")
     if spec["algorithm"] == "gd":
         population = descent.Population.uniform_grid(n, f.evaluate_batch)
         final, log = descent.gd_run(net, population, loss, config_d, record_steps=False)
@@ -579,6 +583,8 @@ def cmd_phase(config: dict, ctx: RunContext) -> int:
     n = spec["n"]
     _int_list(spec["mlp_widths"], "phase.mlp_widths", low=1)
     _int_list(spec["k_values"], "phase.k_values", low=1, high=n)
+    # exhaustive evaluation covers n <= 12; beyond it accuracy is sampled
+    _at_least(spec["eval_trials"], 0 if n <= 12 else 1, "phase.eval_trials")
     rows = []
     for k in spec["k_values"]:
         if "engineered" in spec["methods"]:

@@ -113,21 +113,19 @@ def _identity_slope(z, fz, out=None):
 
 
 _ACT_TABLE = {
-    # kind: (f(z, out, scratch), f'(z, f(z), out), normal?, midpoint); f writes
-    # into ``out`` when it is given
-    "sigmoid": (_sigmoid, _sigmoid_slope, True, 0.5),
-    "tanh": (lambda z, out=None, scratch=None: np.tanh(z, out=out), _tanh_slope, True, 0.0),
-    "relu": (lambda z, out=None, scratch=None: np.maximum(z, 0.0, out=out), _relu_slope,
-             False, 0.0),
-    "cosine": (lambda z, out=None, scratch=None: np.cos(z, out=out), _cosine_slope,
-               False, 0.0),
-    "identity": (_identity, _identity_slope, False, 0.0),
+    # kind: (f(z, out, scratch), f'(z, f(z), out), midpoint); f writes into
+    # ``out`` when it is given
+    "sigmoid": (_sigmoid, _sigmoid_slope, 0.5),
+    "tanh": (lambda z, out=None, scratch=None: np.tanh(z, out=out), _tanh_slope, 0.0),
+    "relu": (lambda z, out=None, scratch=None: np.maximum(z, 0.0, out=out), _relu_slope, 0.0),
+    "cosine": (lambda z, out=None, scratch=None: np.cos(z, out=out), _cosine_slope, 0.0),
+    "identity": (_identity, _identity_slope, 0.0),
 }
 
 
 @dataclass(frozen=True)
 class Activation:
-    """Pointwise nonlinearity; ``is_normal`` marks the smooth bounded-derivative family."""
+    """Pointwise nonlinearity."""
 
     kind: str
 
@@ -135,27 +133,19 @@ class Activation:
         if self.kind not in _ACT_TABLE:
             raise ValueError(f"unknown activation kind: {self.kind!r}")
 
-    def __call__(self, z, out=None, scratch=None):
-        """f(z); written into ``out`` when given, with ``scratch`` (same shape
-        as z) as the sigmoid's work buffer."""
-        return _ACT_TABLE[self.kind][0](np.asarray(z, dtype=np.float64), out, scratch)
+    def __call__(self, z):
+        """f(z)."""
+        return _ACT_TABLE[self.kind][0](np.asarray(z, dtype=np.float64))
 
-    def derivative(self, z, value=None, out=None):
-        """d f / d z, optionally reusing the already-computed value f(z);
-        written into ``out`` when given."""
+    def derivative(self, z, value=None):
+        """d f / d z, optionally reusing the already-computed value f(z)."""
         z = np.asarray(z, dtype=np.float64)
-        if value is None:
-            value = self(z)
-        return _ACT_TABLE[self.kind][1](z, value, out)
-
-    @property
-    def is_normal(self) -> bool:
-        return _ACT_TABLE[self.kind][2]
+        return _ACT_TABLE[self.kind][1](z, self(z) if value is None else value)
 
     @property
     def midpoint(self) -> float:
         """Default decision threshold for this activation's output range."""
-        return _ACT_TABLE[self.kind][3]
+        return _ACT_TABLE[self.kind][2]
 
 
 SIGMOID = Activation("sigmoid")
@@ -509,10 +499,11 @@ def _forward(plan: _LevelPlan, views, xs, bufs=None):
     plan.views are given: one input or a batch against one net's W^T, or a
     stack of inputs against a stack of nets' (see _vecmat).
 
-    ``bufs`` holds per level the z, f, slope and delta buffers (width,) of
-    one input (NeuralNet._gradient_into binds them).  With it each level's z
-    and f are written into its buffers, the slope buffer serving as the
-    sigmoid's scratch; without it they are new arrays."""
+    ``bufs`` holds per level the z, f, slope and delta buffers of one input
+    (width,) or a batch (rows, width), as NeuralNet._gradient_into and
+    _PopulationWorkspace bind them.  With it each level's z and f are
+    written into its buffers, the slope buffer serving as the sigmoid's
+    scratch; without it they are new arrays."""
     ins, zs, fs = [], [], [xs]
     for li, (src, (wt, b), (act, _)) in enumerate(zip(plan.src, views, plan.fns)):
         z, f, scratch, _ = (None,) * 4 if bufs is None else bufs[li]
@@ -530,7 +521,8 @@ def _backward(plan: _LevelPlan, views, xs, ys, output_delta, bufs=None):
     label or a batch (rows, in) with labels (rows,) at a weight vector; or
     over a stack of inputs (K, in) at a weight stack (K, n_edges), row k at
     the weights of row k.  ``output_delta`` is NeuralNet._output_delta's
-    function, and ``bufs`` one input's buffers (see _forward).
+    function, and ``bufs`` the buffers of one input or a batch (see
+    _forward).
 
     Returns per level the level's inputs a (..., fan_in) and the loss
     derivatives delta (..., width) at its pre-activations, plus the outputs.
@@ -716,7 +708,7 @@ class NeuralNet:
 
     def gradient_array(self, x, y, loss: LossKind = SQUARED_ERROR):
         """Exact loss gradient, returned as (grad over edges, output value)."""
-        grad, output = self._gradient_at(self._plan(), self._check_x(x), y, loss)
+        grad, output = self._gradient_at(self._check_x(x), y, loss)
         return grad, float(output)
 
     def gradient(self, x, y, loss: LossKind = SQUARED_ERROR) -> WeightVector:
@@ -751,9 +743,10 @@ class NeuralNet:
             return out, float(output)
         return gradient
 
-    def _gradient_at(self, plan: _LevelPlan, xs, ys, loss, w=None):
+    def _gradient_at(self, xs, ys, loss, w=None):
         """Gradient (..., n_edges) and outputs of one input, a batch, or a
         stack of inputs at the weight stack ``w``."""
+        plan = self._plan()
         views = plan.views(self.weights.values if w is None else w)
         acts, deltas, outputs = _backward(plan, views, xs, ys, self._output_delta(loss))
         grads = np.zeros(xs.shape[:-1] + (self.n_edges,))
@@ -765,7 +758,7 @@ class NeuralNet:
     def gradient_batch(self, xs, ys, loss: LossKind = SQUARED_ERROR):
         """Per-sample gradients, shape (batch, n_edges), plus outputs (batch,)."""
         xs, ys = self._check_batch(xs, ys)
-        return self._gradient_at(self._plan(), xs, ys, loss)
+        return self._gradient_at(xs, ys, loss)
 
     def gradient_stack(self, weights, xs, ys, loss: LossKind = SQUARED_ERROR):
         """Gradients of K nets of this graph at once, one sample each.
@@ -782,20 +775,20 @@ class NeuralNet:
                 f"weight stack has shape {weights.shape}, expected "
                 f"({xs.shape[0]}, {self.n_edges})"
             )
-        return self._gradient_at(self._plan(), xs, ys, loss, weights)
+        return self._gradient_at(xs, ys, loss, weights)
 
     def population_gradient(self, xs, ys, probs, loss: LossKind = SQUARED_ERROR,
                             overflow_b: float = math.inf):
         """E_p[Psi_B(dL/dw)] over a weighted batch, plus whether any entry of
         any per-sample gradient exceeded B in absolute value.
 
-        Psi_B clamps each per-sample gradient entry to [-B, B].  On a view
-        plan no per-sample gradient matrix is built for the rows where Psi_B
-        cannot fire: a row's gradient in one level is a delta^T (and delta
-        for the bias), so those rows reduce to one GEMM per level, a^T (p
-        delta), and only the other rows are materialized and clamped (see
-        _PopulationWorkspace).  A gather plan materializes every row.  Rows
-        go in blocks of at most _CHUNK_ELEMS per-sample gradient entries.
+        Psi_B clamps each per-sample gradient entry to [-B, B].  No
+        per-sample gradient matrix is built for the rows where Psi_B cannot
+        fire: a row's gradient in one level is a delta^T (and delta for the
+        bias), so those rows reduce to one GEMM per level, a^T (p delta), and
+        only the other rows are materialized and clamped, at the level's
+        edges (see _PopulationWorkspace).  Rows go in blocks of at most
+        _CHUNK_ELEMS per-sample gradient entries.
         """
         gradient = self._population_into(self.weights.values, np.empty(self.n_edges),
                                          xs, ys, probs, loss, overflow_b)
@@ -805,28 +798,15 @@ class NeuralNet:
         """The population gradient at the weight buffer w, as a function () ->
         (E_p[Psi_B(dL/dw)], overflow hit) that writes it into the buffer
         ``out``, for a loop that updates w in place.  The population is
-        checked, and on a view plan bound to a workspace, once, here."""
+        checked and bound to a workspace once, here."""
         xs, ys = self._check_batch(xs, ys)
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != ys.shape:
             raise DimensionMismatch(f"probs has shape {probs.shape}, labels {ys.shape}")
         if not overflow_b > 0:
             raise ValueError("clamp range must be positive")
-        plan = self._plan()
-        if plan.n_cols is None:
-            workspace = _PopulationWorkspace(self, plan, w, xs, ys, probs, loss, overflow_b)
-            return lambda: (out, workspace(out))
-
-        def gradient():
-            out[...] = 0.0
-            overflow_hit = False
-            for block in _row_blocks(xs.shape[0], self.n_edges):
-                grads, _ = self._gradient_at(plan, xs[block], ys[block], loss, w)
-                part, hit = _clamped_sum(probs[block], grads, overflow_b)
-                out[...] += part
-                overflow_hit = overflow_hit or hit
-            return out, overflow_hit
-        return gradient
+        workspace = _PopulationWorkspace(self, self._plan(), w, xs, ys, probs, loss, overflow_b)
+        return lambda: (out, workspace(out))
 
 
 _CHUNK_ELEMS = 1 << 22  # cap per-sample gradient blocks at ~32 MB
@@ -871,55 +851,63 @@ def _clamped_sum(probs, grads, b):
 
 
 class _PopulationWorkspace:
-    """E_p[Psi_B(dL/dw)] of a net on a view plan over one fixed weighted population,
-    at the weights of a buffer w that the caller updates in place: the
-    buffers of every step of a run, bound once.
+    """E_p[Psi_B(dL/dw)] of a net over one fixed weighted population, at the
+    weights of a buffer w that the caller updates in place: the buffers of
+    every step of a run, bound once.
 
-    Each call writes the forward pass, the backward pass, the clamp test and
-    the per-layer GEMMs into buffers allocated here for the largest block of
-    rows; only the few rows the clamp may hit are materialized anew.  The
-    products keep the row-major operands of the plain batch code, a (rows,
-    in) and delta (rows, out), since OpenBLAS's bits depend on the operand
-    layout.  The clamp test takes its per-row maxima over a feature-major
-    (width, rows) copy, along contiguous memory.
+    Each call runs the shared _backward over each block of rows, into per
+    level z, f and delta buffers allocated here for the largest block (the
+    slope buffer of every level is the head of one scratch; see _forward),
+    then per level the clamp test and one GEMM, a^T (p delta), over the rows
+    the clamp cannot hit.  Only the few rows it may hit are materialized
+    anew, and on a gather plan only at the level's edges (plan.cells), so
+    Psi_B and the overflow flag never see a structural zero.  The products
+    keep the row-major operands of the plain batch code, a (rows, in) and
+    delta (rows, out), since OpenBLAS's bits depend on the operand layout.
+    The clamp test takes its per-row maxima over a feature-major (width,
+    rows) copy, along contiguous memory.
 
-    Per layer there is a buffer of pre-activations, overwritten by the
-    deltas, and one of activations.  A layer with biases takes its gradient
-    from its input [a, 1], a buffer whose column of ones is written once;
-    layer 0's holds the population's inputs, loaded once when the
-    population is one block.
+    A level with biases takes its gradient from its input [a, 1], a buffer
+    whose column of ones is written once.  Level 0's per-row max|.| (and
+    the population's [x, 1]) is loaded once when the population is one
+    block.  A gather plan's dense gradient blocks go to the edges through
+    plan.gather.
     """
 
     def __init__(self, net, plan, w, xs, ys, probs, loss, overflow_b):
-        self.plan, self.overflow_b = plan, overflow_b
+        self.plan, self.w, self.overflow_b = plan, w, overflow_b
         self.output_delta = net._output_delta(loss)
         self.xs, self.ys, self.probs = xs, ys, probs
         self.views = plan.views(w)
         self.blocks = _row_blocks(xs.shape[0], net.n_edges)
         rows = min(xs.shape[0], self.blocks[0].stop)
         fans = [shape for _, shape, _ in plan.blocks]
-        self.z = [np.empty((rows, fan_out)) for _, fan_out in fans]
-        self.f = [np.empty((rows, fan_out)) for _, fan_out in fans]
         self.a1 = [None if b_slice is None else np.ones((rows, fan_in + 1))
                    for _, (fan_in, _), b_slice in plan.blocks]
         self.g = [np.empty((fan_in + (a1 is not None), fan_out))
                   for (fan_in, fan_out), a1 in zip(fans, self.a1)]
+        self.cells = plan.cells or (slice(None),) * len(fans)
         self.part = np.empty(net.n_edges)
-        self.part_views = plan.views(self.part)
+        self.part_views = plan.views(self.part, fill=False)
         width = 1 + max(max(shape) for shape in fans)
         self.scratch = np.empty(rows * width)
         self.gather = np.empty(rows * width)
         self.row_max = np.empty((3, rows))
         self.within = np.empty(rows, dtype=bool)
         self.loaded = None
+        # per block, per level its z, f, slope and delta buffers (see _forward)
+        zfd = [np.empty((3, rows, fan_out)) for _, fan_out in fans]
+        self.bufs = [[(z[:m], f[:m], self._scratch(m, z.shape[1]), d[:m]) for z, f, d in zfd]
+                     for m in (min(b.stop, xs.shape[0]) - b.start for b in self.blocks)]
 
     def __call__(self, out):
         """Write E_p[Psi_B(dL/dw)] into ``out``; return whether any per-sample
         gradient entry exceeded B."""
+        self.plan.scatter(self.w, self.views)
         out[...] = 0.0
         overflow_hit = False
-        for block in self.blocks:
-            hit = self._block(block)
+        for block, bufs in zip(self.blocks, self.bufs):
+            hit = self._block(block, bufs)
             out += self.part
             overflow_hit = overflow_hit or hit
         return overflow_hit
@@ -937,45 +925,31 @@ class _PopulationWorkspace:
         np.abs(t, out=t)
         return np.max(t, axis=0, out=out[:a.shape[0]], initial=0.0)
 
-    def _load(self, block, xs):
-        """Layer 0's gradient input [x, 1] (x without biases) for the block's
-        rows and, when B is finite, its per-row max|.| in row_max[2]: the
-        population never changes, so a population of one block loads once."""
-        x1 = xs if self.a1[0] is None else self.a1[0][:xs.shape[0]]
+    def _load(self, block, a):
+        """Level 0's gradient input, a or [a, 1], for the block's rows and,
+        when B is finite, its per-row max|.| in row_max[2]: the population
+        never changes, so a population of one block loads once."""
+        a1 = a if self.a1[0] is None else self.a1[0][:a.shape[0]]
         if self.loaded != block.start:
-            if x1 is not xs:
-                x1[:, :-1] = xs
+            if a1 is not a:
+                a1[:, :-1] = a
             if math.isfinite(self.overflow_b):
-                self._row_max_abs(x1, self.row_max[2])
+                self._row_max_abs(a1, self.row_max[2])
             self.loaded = block.start
-        return x1
+        return a1
 
-    def _block(self, block):
+    def _block(self, block, bufs):
         xs = self.xs[block]
         m = xs.shape[0]
-        views, acts = self.views, self.plan.acts
-        zs = [z[:m] for z in self.z]
-        fs = [f[:m] for f in self.f]
-        ins = [self._load(block, xs)] + fs[:-1]
-        for (wt, b), act, a, z, f in zip(views, acts, [xs] + fs, zs, fs):
-            np.dot(a, wt, out=z)
-            if b is not None:
-                z += b
-            act(z, f, self._scratch(*z.shape))
-        z_out = zs[-1][:, 0]
-        z_out[...] = self.output_delta(fs[-1][:, 0], self.ys[block], z_out)
-        for li in range(len(acts) - 1, 0, -1):
-            # layer li - 1's delta, (delta W) * f'(z), over its pre-activations
-            z = zs[li - 1]
-            d = acts[li - 1].derivative(z, fs[li - 1], self._scratch(*z.shape))
-            np.dot(zs[li], views[li][0].T, out=z)
-            np.multiply(z, d, out=z)
+        ins, deltas, _ = _backward(self.plan, self.views, xs, self.ys[block],
+                                   self.output_delta, bufs)
         probs = self.probs[block]
         overflow_hit = False
-        for li, (a, a1, delta, g, (g_w, g_b)) in enumerate(
-            zip(ins, self.a1, zs, self.g, self.part_views)
+        for li, (a, a1, delta, g, cells, (g_w, g_b)) in enumerate(
+            zip(ins, self.a1, deltas, self.g, self.cells, self.part_views)
         ):
             if li == 0:
+                a = self._load(block, a)
                 a_max = self.row_max[2][:m]
             elif a1 is None:
                 a_max = None
@@ -985,7 +959,7 @@ class _PopulationWorkspace:
                 a = a1
                 # [sigmoid(z), 1] has max|.| 1, or NaN where z is, and then
                 # that row's delta is NaN too
-                a_max = 1.0 if acts[li - 1].kind == "sigmoid" else None
+                a_max = 1.0 if self.plan.acts[li - 1].kind == "sigmoid" else None
             within = self._rows_within(a, delta, a_max)
             if within is None:
                 a_in = a
@@ -1000,13 +974,15 @@ class _PopulationWorkspace:
             np.matmul(a_in.T, pd, out=g)
             if within is not None:
                 rows = np.flatnonzero(~within)
-                s, hit = _clamped_sum(probs[rows], _outer_rows(a[rows], delta[rows]),
+                s, hit = _clamped_sum(probs[rows],
+                                      _outer_rows(a[rows], delta[rows])[:, cells],
                                       self.overflow_b)
-                g += s.reshape(g.shape)
+                g.reshape(-1)[cells] += s
                 overflow_hit = overflow_hit or hit
             g_w[...] = g[:g_w.shape[0]]
             if g_b is not None:
                 g_b[...] = g[-1]
+        self.plan.gather(self.part_views, self.part)
         return overflow_hit
 
     def _rows_within(self, a, delta, a_max=None):

@@ -531,11 +531,21 @@ def accuracy_eval(
     return float(np.mean(preds == f.evaluate_batch(xs)))
 
 
+def _check_bound(name: str, positive: dict, nonnegative: dict):
+    """Refuse a cap's arguments unless each is finite, and > 0 (``positive``)
+    or >= 0 (``nonnegative``): an infinite one times a zero one is NaN, and
+    min(1, NaN) is a cap of 1."""
+    for key, value in {**positive, **nonnegative}.items():
+        nonneg = key in nonnegative
+        if not (math.isfinite(value) and (value >= 0 if nonneg else value > 0)):
+            raise ValueError(f"{name} needs {key} finite and {'>=' if nonneg else '>'} 0, "
+                             f"got {value}")
+
+
 def bound_gd(gamma: float, b: float, steps: float, m: float, n: float, sigma2: float) -> float:
     """Accuracy cap for bounded-noisy population GD:
     min(1, 1/2 + gamma*B*T*sqrt(m * 2^-n / (2*pi*sigma^2)))."""
-    if not all(v > 0 for v in (gamma, b, m, n, sigma2)) or not steps >= 0:  # NaN fails
-        raise ValueError("all bound_gd arguments must be positive (steps >= 0)")
+    _check_bound("bound_gd", dict(gamma=gamma, b=b, m=m, n=n, sigma2=sigma2), dict(steps=steps))
     return min(1.0, 0.5 + gamma * b * steps * math.sqrt(m * 2.0 ** (-n) / (2 * math.pi * sigma2)))
 
 
@@ -544,16 +554,15 @@ def bound_sgd(
 ) -> float:
     """Accuracy cap for perturbed noisy SGD: min(1, 1/2 + 2p + c*T*m^4*B^2*gamma^2/n).
     The O(.) constant is the caller's ``c_const``."""
-    if not all(v > 0 for v in (m, b, gamma, n)) or not (steps >= 0 and p >= 0 and c_const >= 0):
-        raise ValueError("bad bound_sgd arguments")
+    _check_bound("bound_sgd", dict(m=m, b=b, gamma=gamma, n=n),
+                 dict(steps=steps, p=p, c_const=c_const))
     return min(1.0, 0.5 + 2 * p + c_const * steps * m ** 4 * b ** 2 * gamma ** 2 / n)
 
 
 def bound_sgd_elaborated(steps: float, m: float, b: float, gamma: float, n: float, p: float) -> float:
     """The fully explicit variant: 1/2 + 2p + T*(360 m^4 B^2 gamma^2 / (pi n)
     + 7 (e/4)^(n/4)), clamped to 1."""
-    if not all(v > 0 for v in (m, b, gamma, n)) or not (steps >= 0 and p >= 0):
-        raise ValueError("bad bound_sgd_elaborated arguments")
+    _check_bound("bound_sgd_elaborated", dict(m=m, b=b, gamma=gamma, n=n), dict(steps=steps, p=p))
     tail = 7.0 * (math.e / 4.0) ** (n / 4.0)
     return min(1.0, 0.5 + 2 * p + steps * (360 * m ** 4 * b ** 2 * gamma ** 2 / (math.pi * n) + tail))
 
@@ -564,8 +573,9 @@ def bound_gd_crosspred(
     """Provisional general-distribution GD cap: 1/2 + gamma*A*Pred^(1/4)*sqrt(|E|)*S/sigma.
     Transcribed from an elaboration whose constant is unsettled; treat as
     indicative only."""
-    if not all(v > 0 for v in (pred, gamma, overflow, n_edges, sigma)) or not steps >= 0:
-        raise ValueError("bad bound_gd_crosspred arguments")
+    _check_bound("bound_gd_crosspred",
+                 dict(pred=pred, gamma=gamma, overflow=overflow, n_edges=n_edges, sigma=sigma),
+                 dict(steps=steps))
     return min(1.0, 0.5 + gamma * overflow * pred ** 0.25 * math.sqrt(n_edges) * steps / sigma)
 
 

@@ -499,6 +499,7 @@ class TestGridparityContract:
 _MIXTURE_16 = {"kind": "constant_mixture", "n": 16, "p_const": 0.25}
 _GD_ROW = {"gamma": 0.1, "overflow_b": 1.0, "steps": 10, "m": 50, "n": 10, "sigma2": 0.5}
 _EMPIRICAL = {"n": 4, "widths": [3], "steps": 2, "sigma2": 0.5, "n_parities": 1}
+_TRAIN_BASE = {"n": 4, "function_mask": 3, "net": {"widths": [3]}}
 
 
 _FUZZ_FLOATS = st.sampled_from([0.5, 2.0, 0.0, -1.0, math.inf, -math.inf, math.nan])
@@ -530,8 +531,8 @@ _CONTRACT_FUZZ = {
 
 
 class TestCommandContracts:
-    """xpred, bounds and gen-aer refuse these configs up front: exit 2 with a
-    one-line reason, an invalid manifest and no result file."""
+    """xpred, bounds, gen-aer, train and phase refuse these configs up front:
+    exit 2 with a one-line reason, an invalid manifest and no result file."""
 
     @pytest.mark.parametrize("command, parameters", [
         ("xpred", {"distribution": _MIXTURE_16, "outer_pairs": 1}),
@@ -548,11 +549,22 @@ class TestCommandContracts:
                                   "n": 8, "c_const": -100.0}]}),
         ("bounds", {"sgd_grid": [{"gamma": 0.1, "overflow_b": 1.0, "steps": 10, "m": 5,
                                   "n": 8, "c_const": math.nan}]}),
+        ("bounds", {"gd_grid": [{**_GD_ROW, "gamma": math.inf, "steps": 0}]}),
+        ("bounds", {"sgd_grid": [{"gamma": math.inf, "overflow_b": 1.0, "steps": 0, "m": 5,
+                                  "n": 8}]}),
         ("gen-aer", {"n": 20, "m": math.nan, "r": 3}),
         ("gen-aer", {"n": 20, "m": 3.0, "r": 3, "count": 0}),
+        ("train", {**_TRAIN_BASE, "algorithm": "cd",
+                   "descent": {"gamma": 0.1, "steps": 5, "coord_budget": 0}}),
+        ("train", {**_TRAIN_BASE, "algorithm": "gd",
+                   "descent": {"gamma": 0.1, "steps": 5, "coord_budget": 2}}),
+        ("phase", {"n": 13, "k_values": [1], "eval_trials": 0}),
+        ("phase", {"n": 6, "k_values": [1], "eval_trials": -1}),
     ], ids=["xpred_outer1", "xpred_inner1", "empirical_steps-1", "empirical_gamma0",
             "empirical_sigma2_nan", "gd_steps-10", "gd_sigma2_nan", "gd_gamma_nan",
-            "sgd_p-0.5", "sgd_c-100", "sgd_c_nan", "aer_m_nan", "aer_count0"])
+            "sgd_p-0.5", "sgd_c-100", "sgd_c_nan", "gd_gamma_inf_steps0",
+            "sgd_gamma_inf_steps0", "aer_m_nan", "aer_count0", "train_cd_budget0",
+            "train_gd_budget2", "phase_n13_trials0", "phase_trials-1"])
     def test_invalid_config_exits_2(self, tmp_path, command, parameters):
         code, stderr, manifest = _run_lab(command, parameters, tmp_path)
         assert code == 2

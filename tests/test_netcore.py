@@ -604,7 +604,7 @@ class TestPopulationGradient:
                 _assert_population_gradient_matches(net, xs, ys, probs, loss, b)
 
     @pytest.mark.parametrize("b", [math.inf, 1.0, 0.3])
-    def test_gather_plan_materializes_rows(self, b):
+    def test_gather_plan_matches_clamped_per_sample_sum(self, b):
         rng = np.random.default_rng(21)
         net = nc.build_monomial_net(4, 2)
         assert net._plan().n_cols is not None
@@ -652,11 +652,12 @@ def _row_by_row_reference(net, xs, ys, probs, loss, b):
 
 
 class TestPopulationWorkspaceOracle:
-    """The layered population gradient (the workspace gd_run binds) equals
+    """The population gradient (the workspace gd_run binds) equals
     gradient_batch + _clamped_sum bit for bit, in two regimes where the
     reference's summation order is the workspace's: blocks of one row, with
-    power-of-two probabilities, for every activation and loss; and integer
-    arithmetic, exact in any order, for one block of many rows."""
+    power-of-two probabilities, for every activation and loss and on gather
+    plans; and integer arithmetic, exact in any order, for one block of many
+    rows."""
 
     @staticmethod
     def _case(act, loss, seed, rows=24, n=5):
@@ -706,6 +707,64 @@ class TestPopulationWorkspaceOracle:
         if clamp == "nan row":
             assert np.all(np.isnan(got)) and np.all(np.isnan(ref))
         self._assert_bits(got, hit, ref, ref_hit)
+
+    @staticmethod
+    def _gather_case(shape, seed, rows=24):
+        rng = np.random.default_rng(seed)
+        if shape == "monomial":
+            net = nc.build_monomial_net(4, 2)
+        else:
+            net = make_random_dag_net(rng, n_inputs=5, n_interior=8, activation=nc.TANH)
+        net = net.with_weights(rng.uniform(-2.0, 2.0, size=net.n_edges))
+        plan, n = net._plan(), net.n_inputs
+        assert plan.n_cols is not None
+        if shape == "dag":
+            # a skip connection: some level past the first reads an input
+            assert any(np.any((src >= 1) & (src <= n)) for src in plan.src[1:])
+        xs = 1.0 - 2.0 * rng.integers(0, 2, size=(rows, n)).astype(float)
+        xs *= rng.uniform(0.5, 2.0, size=(rows, n))
+        ys = 1.0 - 2.0 * rng.integers(0, 2, size=rows).astype(float)
+        probs = 2.0 ** -rng.integers(3, 9, size=rows).astype(float)
+        return net, xs, ys, probs
+
+    @pytest.mark.parametrize("shape", ["monomial", "dag"])
+    @pytest.mark.parametrize("clamp", ["idle", "some rows", "every row"])
+    def test_one_row_blocks_gather_plan(self, shape, clamp):
+        net, xs, ys, probs = self._gather_case(shape, seed=4)
+        loss = nc.SQUARED_ERROR
+        b = self._clamp_range(net.gradient_batch(xs, ys, loss)[0], clamp)
+        with mock.patch.object(nc, "_CHUNK_ELEMS", net.n_edges):
+            assert len(nc._row_blocks(xs.shape[0], net.n_edges)) == xs.shape[0]
+            got, hit = net.population_gradient(xs, ys, probs, loss, b)
+        ref, ref_hit = _row_by_row_reference(net, xs, ys, probs, loss, b)
+        self._assert_bits(got, hit, ref, ref_hit)
+
+    def test_clamp_on_a_structural_zero_is_no_overflow(self):
+        # the gadgets that read x_0 feed the readout with weight 0, so their
+        # delta is 0 and so is every real gradient entry of x_0; the cells
+        # (x_0, other gadget) are structural zeros, and there x_0 delta
+        # exceeds B
+        rng = np.random.default_rng(6)
+        net = nc.build_monomial_net(4, 2)
+        w = rng.uniform(-2.0, 2.0, size=net.n_edges)
+        index = net.graph.edge_index()
+        for subset, edge in nc.monomial_readout_edges(net):
+            if 0 in subset:
+                w[index[edge]] = 0.0
+        net = net.with_weights(w)
+        xs = 1.0 - 2.0 * rng.integers(0, 2, size=(16, 4)).astype(float)
+        xs[:, 0] *= 50.0
+        ys = np.prod(np.sign(xs), axis=1)
+        probs = np.full(16, 1.0 / 16)
+        grads, _ = net.gradient_batch(xs, ys, nc.SQUARED_ERROR)
+        b = 1.01 * float(np.max(np.abs(grads)))
+        plan = net._plan()
+        ins, deltas, _ = nc._backward(plan, plan.views(w), xs, ys,
+                                      net._output_delta(nc.SQUARED_ERROR))
+        assert np.max(np.abs(ins[0][:, :, None] * deltas[0][:, None, :])) > b
+        got, hit = net.population_gradient(xs, ys, probs, nc.SQUARED_ERROR, b)
+        assert hit is False
+        _assert_population_gradient_matches(net, xs, ys, probs, nc.SQUARED_ERROR, b)
 
     @pytest.mark.parametrize("clamp", ["idle", "some rows", "every row"])
     def test_integer_arithmetic_one_block(self, clamp):

@@ -375,6 +375,20 @@ class TestBounds:
             min(1.0, expected), abs=1e-15
         )
 
+    @pytest.mark.parametrize("bound, args", [
+        (sla.bound_gd, (math.inf, 1.0, 0, 1, 12, 0.1)),
+        (sla.bound_sgd, (0, 1, 1.0, math.inf, 12, 0.0)),
+        (sla.bound_sgd_elaborated, (0, 1, 1.0, math.inf, 12, 0.0)),
+        (sla.bound_gd_crosspred, (0.5, math.inf, 1.0, 10, 0, 1.0)),
+        (sla.bound_gd, (0.1, 1.0, 10, 1, 12, math.inf)),
+        (sla.bound_sgd, (0, 1, 1.0, 0.1, 12, 0.0, math.inf)),
+    ], ids=["gd_gamma", "sgd_gamma", "sgd_elaborated_gamma", "crosspred_gamma",
+            "gd_sigma2", "sgd_c_const"])
+    def test_non_finite_argument_is_refused(self, bound, args):
+        # an infinite factor at zero steps is NaN, which min(1, .) read as 1
+        with pytest.raises(ValueError, match="finite"):
+            bound(*args)
+
     def test_crosspred_bound_provisional(self):
         value = sla.bound_gd_crosspred(2.0 ** (-10), 0.01, 1.0, 100, 5, 0.1)
         assert value == pytest.approx(
