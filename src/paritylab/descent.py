@@ -116,7 +116,7 @@ class DescentConfig:
             raise ValueError("gamma must be >= 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.overflow_b <= 0 or self.weight_clamp_b <= 0:
+        if not (self.overflow_b > 0 and self.weight_clamp_b > 0):  # NaN fails too
             raise ValueError("clamp ranges must be positive")
         if self.init_perturb_variance < 0:
             raise ValueError("init_perturb_variance must be >= 0")

@@ -17,10 +17,8 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
@@ -54,8 +52,10 @@ def _check_keys(section: dict, allowed: dict, where: str) -> dict:
             value = section[key]
             if isinstance(value, bool) and typ is not bool:
                 raise SchemaError(f"{where}.{key} must be {typ}, got bool")
-            if typ is float and isinstance(value, int):
-                value = float(value)
+            if isinstance(value, int):
+                _fits_float(value, f"{where}.{key}")
+                if typ is float:
+                    value = float(value)
             if not isinstance(value, typ):
                 raise SchemaError(f"{where}.{key} must be {typ}, got {type(value).__name__}")
             out[key] = value
@@ -75,11 +75,22 @@ def _int_list(values: list, where: str, low=None, high=None) -> list:
     for value in values:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"{where} elements must be int, got {type(value).__name__}")
+        _fits_float(value, f"{where} elements")
         if low is not None and value < low:
             raise SchemaError(f"{where} elements must be >= {low}, got {value}")
         if high is not None and value > high:
             raise SchemaError(f"{where} elements must be <= {high}, got {value}")
     return values
+
+
+def _fits_float(value: int, where: str):
+    """Refuse an int that float() cannot hold: JSON ints are unbounded, and
+    the commands compute with config numbers as floats."""
+    try:
+        float(value)
+    except OverflowError:
+        raise SchemaError(f"{where} must fit a float, got an int of "
+                          f"{value.bit_length()} bits") from None
 
 
 def _at_least(value, low, where: str):
@@ -191,24 +202,6 @@ class RunContext:
 
 
 _STATUS = {0: "ok", EXIT_SCHEMA: "invalid", EXIT_BUDGET: "refused"}
-
-
-def _threads() -> int:
-    value = os.environ.get("LAB_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def _seed_sweep(worker, seeds):
-    """Run worker(seed) for each seed, merged in ascending-seed order."""
-    seeds = sorted(seeds)
-    n_workers = min(_threads(), len(seeds))
-    if n_workers <= 1:
-        return [worker(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +339,16 @@ def cmd_train(config: dict, ctx: RunContext) -> int:
         raise SchemaError(f"unknown loss {spec['loss']!r}")
     loss = netcore.LOSSES[spec["loss"]]
     n = spec["n"]
+    _at_least(n, 1, "train.n")
     with _values_checked("train"):
         f = funcdist.ParitySubset(n, spec["function_mask"])
     net = _net_from_config(spec["net"], n, seed=ctx.seed)
     config_d = _descent_config(spec["descent"], seed=ctx.seed)
     if spec["algorithm"] == "cd" and config_d.coord_budget is None:
         raise SchemaError("algorithm 'cd' needs descent.coord_budget >= 1")
-    if spec["algorithm"] == "gd" and config_d.coord_budget is not None:
-        raise SchemaError("algorithm 'gd' updates every edge: descent.coord_budget must be 0")
+    if spec["algorithm"] != "cd" and config_d.coord_budget is not None:
+        raise SchemaError(f"algorithm {spec['algorithm']!r} updates every edge: "
+                          "descent.coord_budget must be 0")
     if spec["algorithm"] == "gd":
         population = descent.Population.uniform_grid(n, f.evaluate_batch)
         final, log = descent.gd_run(net, population, loss, config_d, record_steps=False)
@@ -539,16 +534,14 @@ def cmd_gridparity(config: dict, ctx: RunContext) -> int:
     if not (math.isfinite(spec["gamma"]) and spec["gamma"] >= 0):
         raise SchemaError(f"gridparity.gamma must be finite and >= 0, got {spec['gamma']}")
     seeds = [ctx.seed + i for i in range(spec["n_seeds"])]
-
-    def worker(seed):
-        return seed, run_gridparity_seed(
-            spec["grid_k"], spec["widths"], spec["epochs"], spec["train_count"],
-            spec["test_count"], spec["gamma"], loss, seed,
-        )
-
-    results = _seed_sweep(worker, seeds)
+    # every seed runs before any file is written, so a seed that diverges leaves none
+    results = [
+        run_gridparity_seed(spec["grid_k"], spec["widths"], spec["epochs"], spec["train_count"],
+                            spec["test_count"], spec["gamma"], loss, seed)
+        for seed in seeds
+    ]
     summary = []
-    for seed, rows in results:
+    for seed, rows in zip(seeds, results):
         _write_csv(
             ctx.out_dir / f"gridparity_seed{seed}.csv",
             ("epoch", "train_loss", "train_err", "test_err"),
@@ -580,7 +573,12 @@ def cmd_phase(config: dict, ctx: RunContext) -> int:
     )
     if any(m not in ("engineered", "generic_mlp") for m in spec["methods"]):
         raise SchemaError(f"unknown phase methods in {spec['methods']}")
+    if not (spec["k_values"] and spec["methods"]):
+        raise SchemaError("phase.k_values and phase.methods must each be non-empty")
     n = spec["n"]
+    _at_least(n, 1, "phase.n")
+    _at_least(spec["train_steps"], 0, "phase.train_steps")
+    _at_least(spec["gamma"], 0, "phase.gamma")
     _int_list(spec["mlp_widths"], "phase.mlp_widths", low=1)
     _int_list(spec["k_values"], "phase.k_values", low=1, high=n)
     # exhaustive evaluation covers n <= 12; beyond it accuracy is sampled
@@ -747,8 +745,8 @@ def noisy_gd_parity_accuracies(n, widths, gamma, overflow_b, steps, sigma2,
     """Train bounded-noisy population GD against planted parities; return the
     per-parity exhaustive accuracies of the final nets."""
     dist = funcdist.ParityUniform(n)
-
-    def worker(i):
+    accs = []
+    for i in range(n_parities):
         f = dist.draw(np.random.default_rng(seed * 100003 + i))
         net = _pytorch_uniform_net(n, widths, seed * 100003 + 7 * i + 1,
                                    activation=netcore.SIGMOID)
@@ -759,9 +757,8 @@ def noisy_gd_parity_accuracies(n, widths, gamma, overflow_b, steps, sigma2,
         )
         final, _ = descent.gd_run(net, population, netcore.SQUARED_ERROR, cfg,
                                   record_steps=False)
-        return sla.accuracy_eval(final, f)
-
-    return _seed_sweep(worker, range(n_parities))
+        accs.append(sla.accuracy_eval(final, f))
+    return accs
 
 
 def cmd_gen_aer(config: dict, ctx: RunContext) -> int:

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
-import threading
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Optional, Sequence
@@ -73,7 +71,8 @@ class SlaStateMachine:
     ``symbol_stat`` optionally reads a per-step scalar (e.g. an accuracy bit)
     out of a symbol, for decision statistics.  ``replay`` optionally rebuilds
     the underlying state from a symbol sequence.  ``budgeted_sgd`` is set by
-    sgd_as_sla and lets run_traces run such machines in lockstep.
+    sgd_as_sla: run_trace and run_traces run such machines on the lockstep
+    stack instead of calling ``update``.
     """
 
     alphabet_size: float  # int or math.inf
@@ -122,10 +121,16 @@ def _json_symbol(symbol):
 def run_trace(
     machine: SlaStateMachine, source: SampleSource, steps: int, seed: Optional[int] = None
 ) -> TraceRecord:
-    """Run the machine for ``steps`` fresh samples; ``seed`` re-seeds the source."""
+    """Run the machine for ``steps`` fresh samples; ``seed`` re-seeds the source.
+
+    A machine made by sgd_as_sla runs as a one-row lockstep stack and never
+    calls its ``update``; every other machine calls update(z, past symbols)
+    once per step."""
     if steps < 1:
         raise ValueError("need steps >= 1")
     src = source.with_seed(seed) if seed is not None else source
+    if machine.budgeted_sgd is not None:
+        return next(_lockstep_traces([machine.budgeted_sgd], [src], steps))
     xs, ys = src.take(steps)
     xs.setflags(write=False)
     symbols: list = []
@@ -227,11 +232,12 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
     so the machine is a pure function of (sample, history) and its trace
     matches cd_run on the same source step for step.
 
-    ``replay`` is the definition of the state a history leads to.  ``update``
-    caches the weights of the last history it saw: when the next history
-    extends that one (the same symbol objects, in order) it applies only the
-    new symbols, and otherwise it replays from the initial weights, so any
-    history, rewound or interleaved with another, gets replay's answer.
+    ``replay`` is the definition of the state a history leads to, and
+    ``update`` is the definition of a step: it replays its history from the
+    initial weights, takes the sample gradient there and runs one
+    budgeted_step.  It keeps nothing between calls.  run_trace and run_traces
+    never call it; they run these machines as lockstep stacks, whose symbols
+    are update's.
     """
     if config.coord_budget is None:
         raise UnboundedAlphabet("coordinate budget required for a finite alphabet")
@@ -245,38 +251,22 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
     alphabet = 2 * sum(
         math.comb(n_e, j) * levels ** j for j in range(k + 1)
     )
-    lock = threading.Lock()
-    cached_w = w0.copy()
-    applied: list = []  # the symbols cached_w reflects, in order
-    gradient = net._gradient_into(cached_w, np.zeros(n_e), loss)
-
-    def apply(w, symbols):
-        for changed, _ in symbols:
-            for idx, value in changed:
-                w[idx] = value
 
     def replay(symbols) -> NeuralNet:
         w = w0.copy()
-        apply(w, symbols)
+        for changed, _ in symbols:
+            for idx, value in changed:
+                w[idx] = value
         return net.with_weights(w)
 
     def update(z, history):
-        t = len(history) + 1
         x, y = z
-        x = net._check_x(x)
-        with lock:
-            if len(history) < len(applied) or not all(map(operator.is_, history, applied)):
-                cached_w[:] = w0
-                applied.clear()
-            fresh = history[len(applied):]
-            apply(cached_w, fresh)
-            applied.extend(fresh)
-            grad, output = gradient(x, y)
-            sel, touched, _ = _descent.budgeted_step(cached_w[None], grad[None], config,
-                                                     (config.seed,), t)
-            changed = tuple(
-                (int(i), float(v)) for i, v in zip(sel[0], touched[0]) if v != cached_w[i]
-            )
+        now = replay(history)
+        w = now.weights.values
+        grad, output = now.gradient_array(x, y, loss)
+        sel, touched, _ = _descent.budgeted_step(w[None], grad[None], config, (config.seed,),
+                                                 len(history) + 1)
+        changed = tuple((int(i), float(v)) for i, v in zip(sel[0], touched[0]) if v != w[i])
         return (changed, bool(_descent._acc_bit(net, output, y, loss)))
 
     return SlaStateMachine(

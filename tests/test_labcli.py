@@ -232,6 +232,8 @@ class TestSchemaAndExitCodes:
                         "test_count": 5, "n_seeds": 0}, "gridparity.n_seeds"),
         ("bounds", {"empirical": {"n": 4, "widths": [3], "steps": 2, "sigma2": 0.5,
                                   "n_parities": 0}}, "bounds.empirical.n_parities"),
+        ("phase", {"n": 6, "k_values": []}, "phase.k_values"),
+        ("phase", {"n": 6, "k_values": [2], "methods": []}, "phase.methods"),
     ])
     def test_empty_sweeps_exit_2_with_one_line(self, tmp_path, capsys, command, parameters,
                                                where):
@@ -504,6 +506,7 @@ _TRAIN_BASE = {"n": 4, "function_mask": 3, "net": {"widths": [3]}}
 
 _FUZZ_FLOATS = st.sampled_from([0.5, 2.0, 0.0, -1.0, math.inf, -math.inf, math.nan])
 _FUZZ_INTS = st.integers(-1, 3)
+_FUZZ_SCALES = st.sampled_from([0.5, 2.0, math.inf, 0.0, math.nan])
 _CONTRACT_FUZZ = {
     "xpred": st.fixed_dictionaries({
         "distribution": st.one_of(
@@ -526,6 +529,43 @@ _CONTRACT_FUZZ = {
     "gen-aer": st.fixed_dictionaries({
         "n": st.integers(-1, 6), "m": _FUZZ_FLOATS, "r": st.integers(2, 4),
         "count": _FUZZ_INTS,
+    }),
+    "train": st.fixed_dictionaries({
+        "n": st.integers(0, 6),
+        "function_mask": st.integers(-1, 7),
+        "algorithm": st.sampled_from(["sgd", "cd", "gd", "bogus"]),
+        "loss": st.sampled_from(["squared", "bce", "bogus"]),
+        "net": st.fixed_dictionaries({
+            "widths": st.lists(st.one_of(st.integers(-1, 4), st.just(1.5)), max_size=2),
+        }, optional={
+            "activation": st.sampled_from(["sigmoid", "tanh", "relu", "cosine", "bogus"]),
+            "out_activation": st.sampled_from(["", "sigmoid", "identity", "bogus"]),
+            "init": st.sampled_from(["he_uniform", "gaussian_fan_in", "zeros", "bogus"]),
+        }),
+        "descent": st.fixed_dictionaries({
+            "gamma": _FUZZ_FLOATS, "steps": st.integers(-1, 20),
+            "coord_budget": _FUZZ_INTS,
+        }, optional={
+            "overflow_b": _FUZZ_SCALES,
+            "weight_clamp_b": _FUZZ_SCALES,
+            "noise_kind": st.sampled_from(["none", "gaussian", "uniform", "bogus"]),
+            "noise_variance": _FUZZ_SCALES,
+            "noise_halfwidth": _FUZZ_SCALES,
+            "init_perturb_variance": _FUZZ_SCALES,
+            "quantization_bits": st.lists(st.integers(0, 10), max_size=3),
+            "coord_rule": st.sampled_from(["topk", "randomk", "bogus"]),
+        }),
+    }),
+    "phase": st.fixed_dictionaries({
+        "n": st.integers(-1, 6),
+        "k_values": st.lists(st.integers(-1, 7), max_size=2),
+        "train_steps": st.integers(-1, 20),
+        "gamma": _FUZZ_FLOATS,
+        "eval_trials": _FUZZ_INTS,
+        "mlp_widths": st.lists(st.integers(-1, 4), max_size=2),
+        "max_units": st.integers(-1, 20),
+        "methods": st.lists(st.sampled_from(["engineered", "generic_mlp", "bogus"]),
+                            max_size=2),
     }),
 }
 
@@ -558,13 +598,28 @@ class TestCommandContracts:
                    "descent": {"gamma": 0.1, "steps": 5, "coord_budget": 0}}),
         ("train", {**_TRAIN_BASE, "algorithm": "gd",
                    "descent": {"gamma": 0.1, "steps": 5, "coord_budget": 2}}),
+        ("train", {**_TRAIN_BASE, "algorithm": "sgd",
+                   "descent": {"gamma": 0.1, "steps": 5, "coord_budget": 2}}),
+        ("train", {**_TRAIN_BASE, "n": 0, "function_mask": 0,
+                   "descent": {"gamma": 0.1, "steps": 5}}),
+        ("train", {**_TRAIN_BASE, "algorithm": "gd",
+                   "descent": {"gamma": 0.1, "steps": 5, "overflow_b": math.nan}}),
+        ("train", {**_TRAIN_BASE, "descent": {"gamma": 10 ** 400, "steps": 5}}),
+        ("bounds", {"gd_grid": [{**_GD_ROW, "steps": 10 ** 400}]}),
+        ("bounds", {"sgd_grid": [{"gamma": 0.1, "overflow_b": 1.0, "steps": 10, "m": 10 ** 400,
+                                  "n": 8}]}),
         ("phase", {"n": 13, "k_values": [1], "eval_trials": 0}),
         ("phase", {"n": 6, "k_values": [1], "eval_trials": -1}),
+        ("phase", {"n": 6, "k_values": [1], "gamma": -1.0}),
+        ("phase", {"n": 6, "k_values": [1], "train_steps": -1}),
+        ("phase", {"n": 6, "k_values": [1], "mlp_widths": [10 ** 400]}),
     ], ids=["xpred_outer1", "xpred_inner1", "empirical_steps-1", "empirical_gamma0",
             "empirical_sigma2_nan", "gd_steps-10", "gd_sigma2_nan", "gd_gamma_nan",
             "sgd_p-0.5", "sgd_c-100", "sgd_c_nan", "gd_gamma_inf_steps0",
             "sgd_gamma_inf_steps0", "aer_m_nan", "aer_count0", "train_cd_budget0",
-            "train_gd_budget2", "phase_n13_trials0", "phase_trials-1"])
+            "train_gd_budget2", "train_sgd_budget2", "train_n0", "train_overflow_nan",
+            "train_gamma_1e400", "gd_steps_1e400", "sgd_m_1e400", "phase_n13_trials0",
+            "phase_trials-1", "phase_gamma-1", "phase_steps-1", "phase_width_1e400"])
     def test_invalid_config_exits_2(self, tmp_path, command, parameters):
         code, stderr, manifest = _run_lab(command, parameters, tmp_path)
         assert code == 2
@@ -572,14 +627,15 @@ class TestCommandContracts:
         assert manifest["status"] == "invalid" and manifest["error"]
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
 
-    @pytest.mark.parametrize("command", ["xpred", "bounds", "gen-aer"])
-    @settings(max_examples=40, deadline=None)
+    @pytest.mark.parametrize("command", ["xpred", "bounds", "gen-aer", "train", "phase"])
+    @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_fuzzed_configs_keep_the_exit_contract(self, command, data):
         """Any config exits 0, 2 or 3, with no traceback, and leaves a
         manifest with a status; only a run that exits 0 writes results, and
         what they compute is in range.  (bounds' empirical block is left out:
-        it trains nets.)"""
+        it trains nets.  train and phase train tiny ones: n <= 6, at most 20
+        steps, hidden widths <= 4.)"""
         parameters = data.draw(_CONTRACT_FUZZ[command])
         with tempfile.TemporaryDirectory() as tmp:
             code, stderr, manifest = _run_lab(command, parameters, Path(tmp))
@@ -589,6 +645,10 @@ class TestCommandContracts:
                 values = [json.loads((out / "xpred.json").read_text())["value"]]
             elif code == 0 and command == "bounds":
                 values = [float(row[-1]) for row in read_csv_rows(out / "bounds.csv")[1]]
+            elif code == 0 and command == "train":
+                values = [json.loads((out / "train.json").read_text())["accuracy"]]
+            elif code == 0 and command == "phase":
+                values = [float(row[2]) for row in read_csv_rows(out / "phase.csv")[1]]
         assert code in (0, 2, 3)
         assert "Traceback" not in stderr
         assert manifest["status"] in ("ok", "invalid", "refused")
@@ -676,27 +736,9 @@ class TestPhaseCommand:
         assert engineered[0] >= 0.95
 
 
-class TestThreads:
-    def test_lab_threads_does_not_change_results(self, tmp_path, monkeypatch):
-        base = {
-            "experiment": "gridparity", "seed": 3, "output_dir": "",
-            "parameters": {"grid_k": 3, "widths": [6], "epochs": 2,
-                           "train_count": 30, "test_count": 30, "n_seeds": 3},
-        }
-        blobs = []
-        for name, threads in (("serial", "1"), ("pooled", "3")):
-            monkeypatch.setenv("LAB_THREADS", threads)
-            out = tmp_path / name
-            cfg = write_config(tmp_path, {**base, "output_dir": str(out)},
-                               name=f"{name}.json")
-            assert labcli.main(["gridparity", "--config", str(cfg)]) == 0
-            blobs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
-        assert blobs[0] == blobs[1]
-
-
 class TestPopulationGdReproducible:
-    """Population GD with a clamp that fires: reruns and LAB_THREADS leave
-    every result file byte-identical."""
+    """Population GD with a clamp that fires: a rerun leaves every result
+    file byte-identical."""
 
     BOUNDS = {
         "experiment": "bounds", "seed": 4,
@@ -740,13 +782,9 @@ class TestPopulationGdReproducible:
         return first
 
     def test_bounds_empirical(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("LAB_THREADS", raising=False)
         first = self._first_run_clamps(tmp_path, self.BOUNDS, monkeypatch)
         assert set(first) == {"bounds.csv", "bounds_empirical.json"}
         assert self._results(tmp_path, self.BOUNDS, "second") == first
-        for threads in ("1", "2"):
-            monkeypatch.setenv("LAB_THREADS", threads)
-            assert self._results(tmp_path, self.BOUNDS, f"threads{threads}") == first
 
     def test_train_gd(self, tmp_path, monkeypatch):
         first = self._first_run_clamps(tmp_path, self.TRAIN, monkeypatch)

@@ -203,7 +203,7 @@ class TestSgdAsSlaCache:
         assert results == [{traces[i % 2].symbols} for i in range(4)]
 
     def test_layered_plan_derived_once_per_trace(self):
-        # the machine binds its gradient to the plan when it is built
+        # the one-row stack's gradient reads the plan the net derived once
         net = small_net()
         src = fd.SampleSource.null(fd.UniformInputs(6), seed=2)
         with mock.patch.object(nc, "_level_plan", wraps=nc._level_plan) as derive:
@@ -482,6 +482,12 @@ def _same_pairs(a, b):
     )
 
 
+def _update_loop(machine):
+    """The machine without its lockstep stack: run_trace then calls update
+    once per step, the reference every stack is checked against."""
+    return dataclasses.replace(machine, budgeted_sgd=None)
+
+
 _NOISES = {
     "none": dc.NoiseSpec.none(),
     "gaussian": dc.NoiseSpec.gaussian(0.05),
@@ -500,8 +506,8 @@ class TestRunTraces:
         gammas=st.lists(st.sampled_from([0.25, 0.5]), min_size=6, max_size=6),
     )
     def test_lockstep_equals_run_trace(self, kinds, rule, budget, noise, clamp, gammas):
-        """Every machine's (z, symbol) pairs are run_trace's, whether the
-        machines form one stack or several (configs that differ in gamma)."""
+        """Every machine's (z, symbol) pairs are its update loop's, whether
+        the machines form one stack or several (configs that differ in gamma)."""
         net = small_net()
         steps = 15
         configs = [
@@ -519,7 +525,7 @@ class TestRunTraces:
         ]
         lockstep = sla.run_traces(counted, _lockstep_sources(kinds), steps)
         assert calls == []  # the stacked machines never ran update
-        separate = [sla.run_trace(m, s, steps)
+        separate = [sla.run_trace(_update_loop(m), s, steps)
                     for m, s in zip(machines, _lockstep_sources(kinds))]
         assert all(_same_pairs(a, b) for a, b in zip(lockstep, separate))
 
@@ -535,7 +541,8 @@ class TestRunTraces:
         with mock.patch.object(sla, "run_trace", wraps=sla.run_trace) as sequential:
             traces = sla.run_traces(machines, _lockstep_sources(kinds), 15)
         assert sequential.call_count == 3
-        separate = [sla.run_trace(m, s, 15) for m, s in zip(machines, _lockstep_sources(kinds))]
+        separate = [sla.run_trace(_update_loop(m), s, 15)
+                    for m, s in zip(machines, _lockstep_sources(kinds))]
         assert all(_same_pairs(a, b) for a, b in zip(traces, separate))
 
     def test_stream_keeps_no_consumed_trace(self):
@@ -584,8 +591,23 @@ class TestRunTraces:
         shared = fd.SampleSource.null(fd.UniformInputs(6), seed=3)
         traces = sla.run_traces(machines, [shared, shared], 10)
         again = fd.SampleSource.null(fd.UniformInputs(6), seed=3)
-        separate = [sla.run_trace(m, again, 10) for m in machines]
+        separate = [sla.run_trace(_update_loop(m), again, 10) for m in machines]
         assert all(_same_pairs(a, b) for a, b in zip(traces, separate))
+
+    @pytest.mark.parametrize("seed", [None, 21])
+    def test_run_trace_stacks_one_row(self, seed):
+        """run_trace runs an sgd_as_sla machine as a one-row stack, never
+        calling update, and its trace is the update loop's."""
+        machine = sla.sgd_as_sla(small_net(), nc.SQUARED_ERROR,
+                                 quant_config(budget=2, noise=dc.NoiseSpec.gaussian(0.05)))
+        calls = []
+        counted = dataclasses.replace(
+            machine, update=lambda z, h: calls.append(1) or machine.update(z, h))
+        trace = sla.run_trace(counted, _lockstep_sources([True])[0], 25, seed=seed)
+        assert calls == []
+        loop = sla.run_trace(_update_loop(machine), _lockstep_sources([True])[0], 25, seed=seed)
+        assert _same_pairs(trace, loop)
+        assert any(changed for changed, _ in trace.symbols)
 
     def test_lockstep_takes_each_source_once(self):
         net = small_net()
