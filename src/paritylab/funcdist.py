@@ -8,6 +8,7 @@ product of the selected +-1 coordinates, equivalently the XOR of the bits.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
@@ -269,14 +270,9 @@ class MonomialK(FunctionDistribution):
     k: int
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0 <= self.k <= self.n):
             raise ValueError("need 0 <= k <= n")
-
-    def _masks(self):
-        masks = []
-        for combo in _combinations_masks(self.n, self.k):
-            masks.append(combo)
-        return masks
 
     def draw(self, rng) -> MonomialSubset:
         # uniform k-subset without enumerating all C(n, k) masks
@@ -288,17 +284,11 @@ class MonomialK(FunctionDistribution):
         if count > MAX_ENUM_FUNCTIONS:
             raise TooLarge(f"C({self.n},{self.k}) = {count} exceeds the enumeration cap")
         prob = 1.0 / count
-        return [(MonomialSubset(self.n, m, self.k), prob) for m in self._masks()]
+        return [(MonomialSubset(self.n, subset_to_mask(c), self.k), prob)
+                for c in itertools.combinations(range(self.n), self.k)]
 
     def describe(self):
         return {"kind": "monomial_k", "n": self.n, "k": self.k}
-
-
-def _combinations_masks(n: int, k: int):
-    import itertools
-
-    for combo in itertools.combinations(range(n), k):
-        yield subset_to_mask(combo)
 
 
 @dataclass(frozen=True)
@@ -482,15 +472,9 @@ class SampleSource:
                 return self.input_dist.sample_one(self._rng)
             return self.input_dist.sample(self._rng, 1)[0]
         xs = self.input_dist.xs
-        if self.sampling == "exhaust":
-            if self._cursor >= xs.shape[0]:
-                raise SourceExhausted("finite sample set depleted")
-            if self._order is None:
-                self._order = self._rng.permutation(xs.shape[0])
-            x = xs[self._order[self._cursor]]
-            self._cursor += 1
-            return x
-        # epoch: reshuffle at each pass boundary
+        if self.sampling == "exhaust" and self._cursor >= xs.shape[0]:
+            raise SourceExhausted("finite sample set depleted")
+        # one permutation per pass: exhaust makes one pass, epoch reshuffles
         if self._order is None or self._cursor >= xs.shape[0]:
             self._order = self._rng.permutation(xs.shape[0])
             self._cursor = 0

@@ -583,12 +583,8 @@ def cmd_phase(config: dict, ctx: RunContext) -> int:
     _int_list(spec["k_values"], "phase.k_values", low=1, high=n)
     # exhaustive evaluation covers n <= 12; beyond it accuracy is sampled
     _at_least(spec["eval_trials"], 0 if n <= 12 else 1, "phase.eval_trials")
-    rows = []
-    for k in spec["k_values"]:
-        if "engineered" in spec["methods"]:
-            rows.append(_phase_engineered(n, k, spec, ctx.seed))
-        if "generic_mlp" in spec["methods"]:
-            rows.append(_phase_generic(n, k, spec, ctx.seed))
+    rows = [_phase_row(n, k, method, spec, ctx.seed) for k in spec["k_values"]
+            for method in ("engineered", "generic_mlp") if method in spec["methods"]]
     _write_csv(
         ctx.out_dir / "phase.csv",
         ("k", "method", "accuracy", "ci95"),
@@ -597,48 +593,34 @@ def cmd_phase(config: dict, ctx: RunContext) -> int:
     return 0
 
 
-def _phase_accuracy_ci(trials: int) -> float:
-    # binomial CI halfwidth at p ~ 1/2, the worst case
-    return 1.96 * math.sqrt(0.25 / trials)
-
-
-def _phase_engineered(n, k, spec, seed):
-    if math.comb(n, k) > spec["max_units"]:
-        raise funcdist.TooLarge(f"C({n},{k}) beyond the engineered-net budget")
-    dist = funcdist.MonomialK(n, k)
-    f = dist.draw(np.random.default_rng(seed + k))
-    net = netcore.build_monomial_net(n, k, max_units=spec["max_units"])
-    readout = [net.graph.edge_index()[e] for _, e in netcore.monomial_readout_edges(net)]
-    # LMS stability on +-1 features needs lr < 2 / n_units
-    gamma = min(spec["gamma"], 0.5 / math.comb(n, k))
+def _phase_row(n, k, method, spec, seed):
+    """One phase.csv row: SGD from the method's net on a planted degree-k
+    monomial, then the trained net's accuracy, exact for n <= 12 and sampled
+    with a binomial CI beyond.  The engineered net trains only its readout
+    under squared loss; the generic MLP trains every edge under BCE."""
+    f = funcdist.MonomialK(n, k).draw(np.random.default_rng(seed + k))
+    if method == "engineered":
+        if math.comb(n, k) > spec["max_units"]:
+            raise funcdist.TooLarge(f"C({n},{k}) beyond the engineered-net budget")
+        net = netcore.build_monomial_net(n, k, max_units=spec["max_units"])
+        trainable = [net.graph.edge_index()[e] for _, e in netcore.monomial_readout_edges(net)]
+        # LMS stability on +-1 features needs lr < 2 / n_units
+        gamma, loss = min(spec["gamma"], 0.5 / math.comb(n, k)), netcore.SQUARED_ERROR
+        source_seed, eval_seed = seed + 17 * k, seed + 3
+    else:
+        net = _pytorch_uniform_net(n, spec["mlp_widths"], seed=seed + 29 * k)
+        trainable, gamma, loss = None, spec["gamma"], netcore.LOGISTIC_BCE
+        source_seed, eval_seed = seed + 31 * k, seed + 5
     cfg = descent.DescentConfig(gamma=gamma, steps=spec["train_steps"], seed=seed + k)
-    source = funcdist.SampleSource.planted(f, funcdist.UniformInputs(n), seed=seed + 17 * k)
-    trained, _ = descent.sgd_run(
-        net, source, netcore.SQUARED_ERROR, cfg, record_steps=False, trainable=readout
-    )
+    source = funcdist.SampleSource.planted(f, funcdist.UniformInputs(n), seed=source_seed)
+    trained, _ = descent.sgd_run(net, source, loss, cfg, record_steps=False,
+                                 trainable=trainable)
     if n <= 12:
-        acc = sla.accuracy_eval(trained, f)
-        return (k, "engineered", acc, 0.0)
-    acc = sla.accuracy_eval(trained, f, trials=spec["eval_trials"], seed=seed + 3)
-    return (k, "engineered", acc, _phase_accuracy_ci(spec["eval_trials"]))
-
-
-def _phase_generic(n, k, spec, seed):
-    dist = funcdist.MonomialK(n, k)
-    f = dist.draw(np.random.default_rng(seed + k))
-    net = _pytorch_uniform_net(n, spec["mlp_widths"], seed=seed + 29 * k)
-    cfg = descent.DescentConfig(gamma=spec["gamma"], steps=spec["train_steps"], seed=seed + k)
-    source = funcdist.SampleSource.planted(f, funcdist.UniformInputs(n), seed=seed + 31 * k)
-    trained, _ = descent.sgd_run(
-        net, source, netcore.LOGISTIC_BCE, cfg, record_steps=False
-    )
-    if n <= 12:
-        acc = sla.accuracy_eval(trained, f, loss=netcore.LOGISTIC_BCE)
-        return (k, "generic_mlp", acc, 0.0)
-    acc = sla.accuracy_eval(
-        trained, f, trials=spec["eval_trials"], seed=seed + 5, loss=netcore.LOGISTIC_BCE
-    )
-    return (k, "generic_mlp", acc, _phase_accuracy_ci(spec["eval_trials"]))
+        return (k, method, sla.accuracy_eval(trained, f, loss=loss), 0.0)
+    trials = spec["eval_trials"]
+    acc = sla.accuracy_eval(trained, f, trials=trials, seed=eval_seed, loss=loss)
+    # binomial CI halfwidth at p ~ 1/2, the worst case
+    return (k, method, acc, 1.96 * math.sqrt(0.25 / trials))
 
 
 def cmd_bounds(config: dict, ctx: RunContext) -> int:

@@ -451,7 +451,7 @@ class _LevelPlan:
         them writes to w (the reshape only splits the last, unit-stride
         axis); on a gather plan they are dense blocks, filled from w unless
         ``fill`` is false (a gradient buffer, which _write_gradient
-        overwrites whole)."""
+        overwrites whole, or weights the caller scatters in later)."""
         lead = w.shape[:-1]
         if self.n_cols is not None:
             views = [(np.zeros(lead + shape), None) for _, shape, _ in self.blocks]
@@ -477,12 +477,13 @@ class _LevelPlan:
 
 def _vecmat(a, m, out=None):
     """a m for one input (in,) or a batch (rows, in) against one matrix
-    (in, out), written into ``out`` when given, or row k of a stack (K, in)
-    against m[k] of a stack (K, in, out).  A stack runs np.matmul on 3-D
+    (in, out), or row k of a stack (K, in) against m[k] of a stack (K, in,
+    out), written into ``out`` when given.  A stack runs np.matmul on 3-D
     stacks, one BLAS call per slice, so row k equals np.dot(a[k], m[k]) bit
     for bit whatever K is."""
     if m.ndim == 3:
-        return np.matmul(a[:, None, :], m)[:, 0, :]
+        lift = None if out is None else out[:, None, :]
+        return np.matmul(a[:, None, :], m, out=lift)[:, 0, :]
     return np.dot(a, m, out=out)
 
 
@@ -499,8 +500,8 @@ def _forward(plan: _LevelPlan, views, xs, bufs=None):
     plan.views are given: one input or a batch against one net's W^T, or a
     stack of inputs against a stack of nets' (see _vecmat).
 
-    ``bufs`` holds per level the z, f, slope and delta buffers of one input
-    (width,) or a batch (rows, width), as NeuralNet._gradient_into and
+    ``bufs`` holds per level the z, f, slope and delta buffers, each of the
+    lead shape of xs plus (width,), as NeuralNet._gradient_into and
     _PopulationWorkspace bind them.  With it each level's z and f are
     written into its buffers, the slope buffer serving as the sigmoid's
     scratch; without it they are new arrays."""
@@ -521,8 +522,7 @@ def _backward(plan: _LevelPlan, views, xs, ys, output_delta, bufs=None):
     label or a batch (rows, in) with labels (rows,) at a weight vector; or
     over a stack of inputs (K, in) at a weight stack (K, n_edges), row k at
     the weights of row k.  ``output_delta`` is NeuralNet._output_delta's
-    function, and ``bufs`` the buffers of one input or a batch (see
-    _forward).
+    function, and ``bufs`` as in _forward.
 
     Returns per level the level's inputs a (..., fan_in) and the loss
     derivatives delta (..., width) at its pre-activations, plus the outputs.
@@ -708,8 +708,8 @@ class NeuralNet:
 
     def gradient_array(self, x, y, loss: LossKind = SQUARED_ERROR):
         """Exact loss gradient, returned as (grad over edges, output value)."""
-        grad, output = self._gradient_at(self._check_x(x), y, loss)
-        return grad, float(output)
+        gradient = self._gradient_into(self.weights.values, np.empty(self.n_edges), loss)
+        return gradient(self._check_x(x), y)
 
     def gradient(self, x, y, loss: LossKind = SQUARED_ERROR) -> WeightVector:
         grad, _ = self.gradient_array(x, y, loss)
@@ -723,42 +723,34 @@ class NeuralNet:
         return xs, ys
 
     def _gradient_into(self, w, out, loss: LossKind):
-        """The sample gradient of ``loss`` at the weight buffer w, as a
-        function (x, y) -> (gradient, output) of a checked input, for a loop
-        that updates w in place.  Everything a step needs is bound once,
-        here: plan.views of w and of the gradient buffer ``out``, the output
-        delta, and per level the z, f, slope and delta buffers (see
-        _forward) that each step overwrites; the output returned is a
-        float, as gradient_array's, not a view of them."""
+        """The gradient of ``loss`` into the buffer ``out``, as a function
+        (xs, ys) -> (out, outputs) of checked inputs, for a loop that updates
+        the weight buffer w in place.  out.shape[:-1] is the lead shape: ()
+        for one input at the weight vector w, (rows,) for a batch at w, (K,)
+        for a stack at the weight stack w (K, n_edges), row k at w[k].  The
+        views of w and out, the output delta and per level the z, f, slope
+        and delta buffers (see _forward) are bound once, here, and every
+        call overwrites them.  One input's output is a float; a batch's or a
+        stack's is a view of the output level's buffer."""
         plan = self._plan()
-        w_views, g_views = plan.views(w), plan.views(out, fill=False)
+        lead = out.shape[:-1]
+        w_views, g_views = plan.views(w, fill=False), plan.views(out, fill=False)
         output_delta = self._output_delta(loss)
-        bufs = [tuple(np.empty((4, width))) for _, (_, width), _ in plan.blocks]
+        bufs = [tuple(np.empty((4,) + lead + (width,))) for _, (_, width), _ in plan.blocks]
 
-        def gradient(x, y):
+        def gradient(xs, ys):
             plan.scatter(w, w_views)
-            acts, deltas, output = _backward(plan, w_views, x, y, output_delta, bufs)
+            acts, deltas, outputs = _backward(plan, w_views, xs, ys, output_delta, bufs)
             _write_gradient(acts, deltas, g_views)
             plan.gather(g_views, out)
-            return out, float(output)
+            return out, outputs if lead else float(outputs)
         return gradient
-
-    def _gradient_at(self, xs, ys, loss, w=None):
-        """Gradient (..., n_edges) and outputs of one input, a batch, or a
-        stack of inputs at the weight stack ``w``."""
-        plan = self._plan()
-        views = plan.views(self.weights.values if w is None else w)
-        acts, deltas, outputs = _backward(plan, views, xs, ys, self._output_delta(loss))
-        grads = np.zeros(xs.shape[:-1] + (self.n_edges,))
-        g_views = plan.views(grads, fill=False)
-        _write_gradient(acts, deltas, g_views)
-        plan.gather(g_views, grads)
-        return grads, outputs
 
     def gradient_batch(self, xs, ys, loss: LossKind = SQUARED_ERROR):
         """Per-sample gradients, shape (batch, n_edges), plus outputs (batch,)."""
         xs, ys = self._check_batch(xs, ys)
-        return self._gradient_at(xs, ys, loss)
+        out = np.empty((len(ys), self.n_edges))
+        return self._gradient_into(self.weights.values, out, loss)(xs, ys)
 
     def gradient_stack(self, weights, xs, ys, loss: LossKind = SQUARED_ERROR):
         """Gradients of K nets of this graph at once, one sample each.
@@ -775,7 +767,7 @@ class NeuralNet:
                 f"weight stack has shape {weights.shape}, expected "
                 f"({xs.shape[0]}, {self.n_edges})"
             )
-        return self._gradient_at(xs, ys, loss, weights)
+        return self._gradient_into(weights, np.empty(weights.shape), loss)(xs, ys)
 
     def population_gradient(self, xs, ys, probs, loss: LossKind = SQUARED_ERROR,
                             overflow_b: float = math.inf):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -125,7 +125,7 @@ def run_trace(
 
     A machine made by sgd_as_sla runs as a one-row lockstep stack and never
     calls its ``update``; every other machine calls update(z, past symbols)
-    once per step."""
+    once per step, the past symbols a read-only view of the trace so far."""
     if steps < 1:
         raise ValueError("need steps >= 1")
     src = source.with_seed(seed) if seed is not None else source
@@ -133,13 +133,33 @@ def run_trace(
         return next(_lockstep_traces([machine.budgeted_sgd], [src], steps))
     xs, ys = src.take(steps)
     xs.setflags(write=False)
+    zs = list(zip(xs, ys.tolist()))
     symbols: list = []
-    pairs = []
-    for z in zip(xs, ys.tolist()):
-        w = machine.update(z, tuple(symbols))
-        symbols.append(w)
-        pairs.append((z, w))
-    return TraceRecord(pairs=tuple(pairs))
+    for t, z in enumerate(zs):
+        symbols.append(machine.update(z, _History(symbols, t)))
+    return TraceRecord(pairs=tuple(zip(zs, symbols)))
+
+
+class _History(Sequence):
+    """The first ``length`` symbols of a list that only grows, read-only and
+    copying nothing: a step's past symbols."""
+
+    __slots__ = ("_symbols", "_length")
+
+    def __init__(self, symbols: list, length: int):
+        self._symbols, self._length = symbols, length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i):
+        at = range(self._length)[i]
+        if isinstance(at, range):
+            return tuple(map(self._symbols.__getitem__, at))
+        return self._symbols[at]
+
+    def __iter__(self):
+        return islice(self._symbols, self._length)
 
 
 def run_traces(machines: Sequence[SlaStateMachine], sources: Sequence[SampleSource],
@@ -206,8 +226,9 @@ def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int):
     new = np.empty(shape)
     changed = np.empty(shape, dtype=bool)
     acc = np.empty((steps, len(runs)), dtype=bool)
+    gradient = net._gradient_into(w, np.empty_like(w), loss)
     for t in range(1, steps + 1):
-        grads, outputs = net.gradient_stack(w, block[t - 1], labels[t - 1], loss)
+        grads, outputs = gradient(block[t - 1], labels[t - 1])
         acc[t - 1] = _descent._acc_bit(net, outputs, labels[t - 1], loss)
         sel[t - 1], new[t - 1], _ = _descent.budgeted_step(w, grads, config, seeds, t)
         np.not_equal(new[t - 1], w[rows, sel[t - 1]], out=changed[t - 1])

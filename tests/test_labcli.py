@@ -181,6 +181,8 @@ class TestSchemaAndExitCodes:
         ({"parameters": {"distribution": {"kind": "constant_mixture", "n": 8,
                                           "p_const": 0.9}}},
          "p_const"),
+        ({"parameters": {"distribution": {"kind": "monomial_k", "n": 0, "k": 0}}},
+         "n >= 1"),
     ])
     def test_bad_values_exit_2_with_one_line(self, tmp_path, capsys, top, where):
         cfg = write_config(tmp_path, {"experiment": "xpred",
@@ -390,8 +392,9 @@ class TestDistinguishContract:
         {"cap_constant": -1.0},
         {"cap_constant": math.inf},
         {"cap_constant": math.nan},
+        {"distribution": {"kind": "monomial_k", "n": 0, "k": 0}},
     ], ids=["steps0", "trials19", "statistic", "no_closed_form", "unbounded_alphabet",
-            "negative_cap", "infinite_cap", "nan_cap"])
+            "negative_cap", "infinite_cap", "nan_cap", "monomial_n0"])
     def test_invalid_config_exits_2(self, tmp_path, change):
         code, stderr, manifest = _run_lab("distinguish", {**_DISTINGUISH_BASE, **change},
                                           tmp_path)
@@ -406,7 +409,7 @@ class TestDistinguishContract:
         dist=st.one_of(
             st.builds(lambda n: {"kind": "parity_uniform", "n": n}, st.integers(-1, 5)),
             st.builds(lambda n, k: {"kind": "monomial_k", "n": n, "k": k},
-                      st.integers(1, 5), st.integers(-1, 6)),
+                      st.integers(0, 5), st.integers(-1, 6)),
             st.builds(lambda n: {"kind": "uniform_all", "n": n}, st.integers(0, 5)),
             st.builds(lambda p: {"kind": "constant_mixture", "n": 3, "p_const": p},
                       st.sampled_from([0.0, 0.5, 1.5])),

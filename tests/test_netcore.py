@@ -893,6 +893,44 @@ class TestBoundStep:
             # later steps rewrote the buffers, not the output this step returned
             assert np.asarray(output).tobytes() == output_bytes
 
+    @pytest.mark.parametrize("kind", ["batch", "stack"])
+    @pytest.mark.parametrize("case, loss", _BOUND_STEP_CASES,
+                             ids=[f"{c}-{l.kind}" for c, l in _BOUND_STEP_CASES])
+    def test_bound_batch_and_stack_rows_equal_gradient_array(self, case, loss, kind):
+        """A function bound on a stack (K, n_edges) at a weight stack, or on a
+        batch (rows, n_edges) at one weight vector, stepped 5 times with the
+        weights updated in place.  Each stack row equals gradient_array of
+        its own net bit for bit.  A batch runs one matrix product per level
+        for all its rows, whose bits may differ from one row's: it equals a
+        fresh gradient_batch bit for bit, and gradient_array to 1e-12
+        (relative, as the identity nets' steps grow the weights)."""
+        net = _bound_step_net(case)
+        rng = np.random.default_rng(46)
+        for rows in (1, 4):
+            if kind == "stack":
+                w = _stack_case(net, rows, seed=47 + rows)[0]
+            else:
+                w = net.weights.values.copy()
+            gradient = net._gradient_into(w, np.empty((rows, net.n_edges)), loss)
+            for _ in range(5):
+                xs = 1.0 - 2.0 * rng.integers(0, 2, size=(rows, net.n_inputs)).astype(float)
+                ys = 1.0 - 2.0 * rng.integers(0, 2, size=rows).astype(float)
+                weights = np.broadcast_to(w, (rows, net.n_edges)).copy()
+                grads, outputs = gradient(xs, ys)
+                if kind == "batch":
+                    fresh, fresh_outputs = net.with_weights(w).gradient_batch(xs, ys, loss)
+                    assert grads.tobytes() == fresh.tobytes()
+                    assert outputs.tobytes() == fresh_outputs.tobytes()
+                for k in range(rows):
+                    ref, ref_output = net.with_weights(weights[k]).gradient_array(xs[k], ys[k],
+                                                                                  loss)
+                    if kind == "stack":
+                        assert grads[k].tobytes() == ref.tobytes() and outputs[k] == ref_output
+                    else:
+                        np.testing.assert_allclose(grads[k], ref, rtol=1e-12, atol=1e-12)
+                        assert outputs[k] == pytest.approx(ref_output, rel=1e-12, abs=1e-12)
+                w -= 0.05 * (grads if kind == "stack" else grads.sum(axis=0))
+
     @pytest.mark.parametrize("case", ["relu_sigmoid", "dag_sigmoid"])
     def test_runs_and_plain_calls_share_no_buffers(self, case):
         """Two functions bound on one net (and its shared plan), stepped in

@@ -62,6 +62,31 @@ class TestRunTrace:
         b = sla.run_trace(machine, src.with_seed(0), 15, seed=99)
         assert a.symbols == b.symbols
 
+    def test_kept_histories_stay_the_prefix_they_were(self):
+        """update's past symbols are a view that later steps do not grow:
+        a history kept at step t still holds exactly the first t - 1
+        symbols when the run is over, and cannot be written."""
+        kept = []
+
+        def update(z, history):
+            kept.append(history)
+            return (len(history), z[1])
+
+        src = fd.SampleSource.null(fd.UniformInputs(3), seed=4)
+        trace = sla.run_trace(sla.SlaStateMachine(alphabet_size=math.inf, update=update),
+                              src, 30)
+        for t, history in enumerate(kept, start=1):
+            assert len(history) == t - 1
+            assert tuple(history) == trace.symbols[:t - 1]
+            assert history[:] == trace.symbols[:t - 1]
+            assert history[::-2] == trace.symbols[:t - 1][::-2]
+            if history:
+                assert history[-1] == trace.symbols[t - 2] and history[0] == trace.symbols[0]
+            with pytest.raises(IndexError):
+                history[t - 1]
+            with pytest.raises(TypeError):
+                history[0] = None
+
 
 class TestSgdAsSla:
     def test_requires_budget_and_quantization(self):
