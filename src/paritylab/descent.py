@@ -59,7 +59,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian", "uniform"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.variance < 0 or self.halfwidth < 0:
+        if not (self.variance >= 0 and self.halfwidth >= 0):  # NaN fails too
             raise ValueError("noise parameters must be non-negative")
 
     @classmethod
@@ -112,13 +112,13 @@ class DescentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not self.gamma >= 0:  # NaN fails too
             raise ValueError("gamma must be >= 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if not (self.overflow_b > 0 and self.weight_clamp_b > 0):  # NaN fails too
             raise ValueError("clamp ranges must be positive")
-        if self.init_perturb_variance < 0:
+        if not self.init_perturb_variance >= 0:
             raise ValueError("init_perturb_variance must be >= 0")
         if self.coord_budget is not None and self.coord_budget < 1:
             raise ValueError("coord_budget must be >= 1 when set")
@@ -226,6 +226,11 @@ def _stream(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _noise(config: DescentConfig, seeds, t: int, size: int) -> np.ndarray:
+    """Step t's noise (len(seeds), size), row k from the (seeds[k], t) stream."""
+    return np.array([config.noise.draw(_stream(seed, _STREAM_NOISE, t), size) for seed in seeds])
+
+
 def prepare_initial_weights(net: NeuralNet, config: DescentConfig) -> np.ndarray:
     """Initial perturbation, then the algorithms' [-B, B] projection, then storage
     quantization (stored variables live on the lattice from step 0)."""
@@ -245,6 +250,13 @@ def _store(w, weight_clamp_b, quantization):
     return w
 
 
+def _step_report(t, edges, w, changed, update, overflow_hit=False, acc_bit=None):
+    """Step t's report: the edges at the indices ``changed`` with their new
+    weights in w, and the largest |gamma * derivative| in ``update``."""
+    return StepReport(t, tuple((edges[i], float(w[i])) for i in changed),
+                      float(np.max(np.abs(update))) if update.size else 0.0, overflow_hit, acc_bit)
+
+
 def _acc_bit(net: NeuralNet, output, y, loss: LossKind, cut=None):
     """Whether the output falls on the label's side of the decision cut: a
     bool for a float output and label, a bool array for arrays of them.
@@ -258,14 +270,6 @@ def _acc_bit(net: NeuralNet, output, y, loss: LossKind, cut=None):
         cut = decision_cut(net.activation_of(net.graph.output), loss)
     target = (1.0 - y) / 2.0 if loss.kind == "bce" else y
     return (output >= cut) == (target >= cut)
-
-
-def _changed(graph_edges, old_w, new_w, idx=None):
-    if idx is None:
-        idx = np.nonzero(new_w != old_w)[0]
-    else:
-        idx = idx[new_w[idx] != old_w[idx]]
-    return tuple((graph_edges[i], float(new_w[i])) for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +321,14 @@ def gd_run(
     for t in range(1, config.steps + 1):
         delta = None
         if config.noise.is_active:
-            delta = config.noise.draw(_stream(config.seed, _STREAM_NOISE, t), w.size)
+            delta = _noise(config, (config.seed,), t, w.size)[0]
         old = w.copy() if record_steps else None
         grad, overflow_hit = gradient()
         update = _apply_update(w, grad, config.gamma, delta, config.weight_clamp_b,
                                config.quantization)
         if record_steps:
-            log.steps.append(
-                StepReport(
-                    t=t,
-                    changed_edges=_changed(edges, old, w),
-                    max_update=float(np.max(np.abs(update))) if update.size else 0.0,
-                    overflow_hit=overflow_hit,
-                )
-            )
+            log.steps.append(_step_report(t, edges, w, np.nonzero(w != old)[0], update,
+                                          overflow_hit))
     _check_finite(w, "gd", config.steps)
     return net.with_weights(w), log
 
@@ -359,26 +357,30 @@ def sgd_step(
 
 
 def _apply_update(w, grad, gamma, delta, weight_clamp_b, quantization, sel=None):
-    """The update rule of gd_step, gd_run, sgd_step and sgd_run, written into
-    the weight buffer w: w - gamma * grad + delta, projected into [-B, B] and
-    quantized as configured; only on the coordinates ``sel`` when given.
-    grad is scaled in place into gamma * grad, which is returned (at sel)."""
+    """The update rule of gd_step, gd_run, sgd_step and the sample-descent
+    loop, written into the weight buffer w (one run's, or a stack's rows):
+    w - gamma * grad + delta, projected into [-B, B] and quantized as
+    configured; only on the edge indices ``sel`` when given.  grad is scaled
+    in place into gamma * grad, which is returned (at sel)."""
     update = np.multiply(grad, gamma, out=grad)
     if delta is not None:
         delta = np.asarray(delta.values if isinstance(delta, WeightVector) else delta,
                            dtype=np.float64)
     if sel is not None:
-        touched = w[sel] - update[sel]
+        touched = w[..., sel] - update[..., sel]
         if delta is not None:
-            touched += delta[sel]
-        w[sel] = _store(touched, weight_clamp_b, quantization)
-        return update[sel]
+            touched += delta[..., sel]
+        w[..., sel] = _store(touched, weight_clamp_b, quantization)
+        return update[..., sel]
     w -= update
     if delta is not None:
         w += delta
     if math.isfinite(weight_clamp_b) or quantization is not None:
         w[...] = _store(w, weight_clamp_b, quantization)
     return update
+
+
+_SAMPLE_CHUNK = 1024  # the most samples a single run takes at once: flat memory
 
 
 def sgd_run(
@@ -396,8 +398,9 @@ def sgd_run(
     The per-step accuracy bit records whether the pre-update net predicted the
     fresh sample's label.
     """
-    w = prepare_initial_weights(net, config)
-    return _sample_descent(net, w, source, loss, config, record_steps, trainable, None)
+    if config.coord_budget is not None:
+        raise ValueError("sgd_run updates every edge; coord_budget must be None")
+    return _single_run(net, source, loss, config, record_steps, trainable)
 
 
 def cd_run(
@@ -411,10 +414,25 @@ def cd_run(
     ``coord_budget`` edges per step (TopK by |gradient| or a random subset)."""
     if config.coord_budget is None:
         raise ValueError("cd_run requires a finite coord_budget")
+    return _single_run(net, source, loss, config, record_steps, None)
+
+
+def _single_run(net, source, loss, config, record_steps, trainable):
+    """sgd_run and cd_run: the loop from the prepared initial weights, fed
+    from the source in takes of at most _SAMPLE_CHUNK samples."""
     w = prepare_initial_weights(net, config)
-    return _sample_descent(
-        net, w, source, loss, config, record_steps, None, config.coord_budget
-    )
+    log = RunLog(algorithm="sgd" if config.coord_budget is None else "cd")
+    edges = net.graph.edges
+
+    def report(t, acc, sel, changed, update):
+        log.steps.append(_step_report(t, edges, w, sel[0][changed[0]], update, acc_bit=bool(acc)))
+    blocks = (net._check_batch(*source.take(min(_SAMPLE_CHUNK, config.steps - start)))
+              for start in range(0, config.steps, _SAMPLE_CHUNK))
+    for acc in _sample_descent(net, w, blocks, loss, config, (config.seed,), trainable,
+                               report if record_steps else None):
+        log.acc_bits += acc.tolist()
+    _check_finite(w, log.algorithm, config.steps)
+    return net.with_weights(w), log
 
 
 def _select_coords(grads, budget, rule, seeds, t):
@@ -454,52 +472,53 @@ def budgeted_step(w, grads, config: DescentConfig, seeds, t):
     update = config.gamma * grads[rows, sel]
     touched = w[rows, sel] - update
     if config.noise.is_active:
-        for k, seed in enumerate(seeds):
-            delta = config.noise.draw(_stream(seed, _STREAM_NOISE, t), w.shape[1])
-            touched[k] += delta[sel[k]]
+        touched += _noise(config, seeds, t, w.shape[1])[rows, sel]
     return sel, _store(touched, config.weight_clamp_b, config.quantization), update
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite weights raise Diverged
-def _sample_descent(net, w, source, loss, config, record_steps, trainable, budget):
-    """The loop of sgd_run and cd_run.  ``w`` is the run's own weight buffer
-    and ``grad`` its gradient buffer: each step writes both in place, and the
-    net is wrapped around w once, when the run ends.  The gradient function
-    (NeuralNet._gradient_into) binds the loss and the output's activation,
-    and the decision cut is taken, once per run."""
+def _sample_descent(net, w, blocks, loss, config, seeds, trainable=None, on_step=None):
+    """The one sample-descent loop.  w (C-contiguous) is one run's weights
+    (n_edges,) or a stack (K, n_edges) of runs that share ``config`` but for
+    their seeds, row k's seeds[k]; a one-row stack runs at lead shape (),
+    where its gradient costs less.  ``blocks`` yields samples (xs, ys) of
+    shapes (steps, [K,] n) and (steps, [K]).  Each step updates w in place:
+    budgeted_step when config has a coord_budget, else _apply_update on the
+    edges ``trainable`` (all when None) with each row's (seed, t) noise.  A
+    generator: after each block it yields the block's accuracy bits.
+    on_step(t, acc, sel, changed, update), when given, runs after each step:
+    sel (K, k) the edges each row wrote, changed whether each one's weight
+    changed, update gamma * grad there."""
+    if w.ndim == 2 and len(w) == 1:
+        w = w[0]
+        blocks = ((xs[:, 0], ys[:, 0]) for xs, ys in blocks)
     grad = np.zeros_like(w)
     gradient = net._gradient_into(w, grad, loss)
     cut = decision_cut(net.activation_of(net.graph.output), loss)
-    log = RunLog(algorithm="cd" if budget is not None else "sgd")
-    edges = net.graph.edges
-    if trainable is not None:
-        trainable = np.asarray(trainable, dtype=np.intp)
-    for t in range(1, config.steps + 1):
-        x, y = source.next_sample()
-        old = w.copy() if record_steps else None
-        grad, output = gradient(net._check_x(x), y)
-        acc = bool(_acc_bit(net, output, y, loss, cut))
-        log.acc_bits.append(acc)
-        if budget is not None:
-            sel, touched, update = budgeted_step(w[None], grad[None], config, (config.seed,), t)
-            sel, update = sel[0], update[0]
-            w[sel] = touched[0]
-        else:
-            delta = None
-            if config.noise.is_active:
-                delta = config.noise.draw(_stream(config.seed, _STREAM_NOISE, t), w.size)
-            sel = trainable
-            update = _apply_update(w, grad, config.gamma, delta, config.weight_clamp_b,
-                                   config.quantization, sel)
-        if record_steps:
-            log.steps.append(
-                StepReport(
-                    t=t,
-                    changed_edges=_changed(edges, old, w, idx=sel),
-                    max_update=float(np.max(np.abs(update))) if update.size else 0.0,
-                    overflow_hit=False,
-                    acc_bit=acc,
-                )
-            )
-    _check_finite(w, log.algorithm, config.steps)
-    return net.with_weights(w), log
+    # the update reads every lead shape as rows: views of w and grad
+    w_rows, grad_rows = w.reshape(-1, w.shape[-1]), grad.reshape(-1, w.shape[-1])
+    rows = np.arange(len(w_rows))[:, None]
+    cols = None if trainable is None else np.asarray(trainable, dtype=np.intp)
+    written = np.tile(np.arange(w.shape[-1]) if cols is None else cols, (len(w_rows), 1))
+    record, t = on_step is not None, 0
+    for xs, ys in blocks:
+        acc = np.empty(ys.shape, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):  # callers raise Diverged
+            for i in range(len(ys)):
+                t += 1
+                _, output = gradient(xs[i], ys[i])
+                acc[i] = _acc_bit(net, output, ys[i], loss, cut)
+                if config.coord_budget is not None:
+                    sel, new, update = budgeted_step(w_rows, grad_rows, config, seeds, t)
+                    changed = new != w_rows[rows, sel] if record else None
+                    w_rows[rows, sel] = new
+                else:
+                    sel, delta = written, None
+                    before = w_rows[rows, sel] if record else None
+                    if config.noise.is_active:
+                        delta = _noise(config, seeds, t, w.shape[-1])
+                    update = _apply_update(w_rows, grad_rows, config.gamma, delta,
+                                           config.weight_clamp_b, config.quantization, cols)
+                    changed = w_rows[rows, sel] != before if record else None
+                if record:
+                    on_step(t, acc[i], sel, changed, update)
+        yield acc

@@ -450,64 +450,57 @@ def _pytorch_uniform_net(n: int, widths, seed: int,
     return net.with_weights(w)
 
 
-def run_gridparity_seed(grid_k, widths, epochs, train_count, test_count,
-                        gamma, loss: netcore.LossKind, seed: int):
-    """One grid-parity replication: per-epoch (train_loss, train_err, test_err).
-
-    Pixels are fed raw as 0/1 floats.  BCE trains against +-1 labels through
-    the canonical bit map; squared loss trains the sigmoid head directly
-    against the label bits (the standard MSE classifier).  Either way the
-    prediction is the output thresholded at 1/2, compared as a bit.
-    """
-    train_imgs, train_labels = funcdist.grid_dataset(
-        funcdist.GridDatasetSpec(grid_k, train_count, seed=seed * 7919 + 1)
-    )
-    test_imgs, test_labels = funcdist.grid_dataset(
-        funcdist.GridDatasetSpec(grid_k, test_count, seed=seed * 7919 + 2)
-    )
-    x_train = train_imgs.astype(np.float64)
-    x_test = test_imgs.astype(np.float64)
-    if loss.kind == "bce":
-        y_train = funcdist.bits_to_pm(train_labels)
-    else:
-        y_train = train_labels.astype(np.float64)
-    n = grid_k * grid_k
-    net = _pytorch_uniform_net(n, widths, seed=seed * 7919 + 3)
-    source = _EpochPairSource(x_train, y_train, seed=seed * 7919 + 4)
-    cfg = descent.DescentConfig(gamma=gamma, steps=train_count, seed=seed * 7919 + 5)
-    rows = []
-    for epoch in range(1, epochs + 1):
-        net, _ = descent.sgd_run(net, source, loss, cfg, record_steps=False)
-        train_out = net.evaluate_batch(x_train)
-        test_out = net.evaluate_batch(x_test)
-        train_loss = float(np.mean(loss.value(train_out, y_train)))
-        train_err = float(np.mean((train_out >= 0.5) != (train_labels == 1)))
-        test_err = float(np.mean((test_out >= 0.5) != (test_labels == 1)))
-        rows.append((epoch, train_loss, train_err, test_err))
+def run_gridparity(grid_k, widths, epochs, train_count, test_count,
+                   gamma, loss: netcore.LossKind, seeds):
+    """Grid-parity replications trained as one stack: per seed, per-epoch
+    (epoch, train_loss, train_err, test_err) rows.  Each seed has its own
+    datasets, net and epoch order, and its row trains as that seed alone
+    would.  Pixels are fed raw as 0/1 floats, and the prediction is the
+    sigmoid output thresholded at 1/2, compared as a bit.  Diverged names the
+    first seed whose weights are not finite after an epoch."""
+    def datasets(count, offset):  # stacked (K, count, n) bit images and (K, count) labels
+        spec = funcdist.GridDatasetSpec
+        sets = [funcdist.grid_dataset(spec(grid_k, count, seed * 7919 + offset)) for seed in seeds]
+        return np.stack([imgs for imgs, _ in sets]), np.stack([labels for _, labels in sets])
+    train_imgs, train_labels = datasets(train_count, 1)
+    test_imgs, test_labels = datasets(test_count, 2)
+    # squared loss fits the label bits, BCE the +-1 labels
+    y_train = (funcdist.bits_to_pm(train_labels) if loss.kind == "bce"
+               else train_labels.astype(np.float64))
+    initial = []
+    for seed in seeds:  # only the weights are kept; every row shares the last net's graph
+        net = _pytorch_uniform_net(grid_k * grid_k, widths, seed=seed * 7919 + 3)
+        initial.append(net.weights.values)
+    w = np.stack(initial)
+    orders = [np.random.default_rng(seed * 7919 + 4) for seed in seeds]
+    cfg = descent.DescentConfig(gamma=gamma, steps=train_count)
+    rows = [[] for _ in seeds]
+    blocks = _epoch_blocks(train_imgs, y_train, orders, epochs)
+    epoch_steps = descent._sample_descent(net, w, blocks, loss, cfg,
+                                          [seed * 7919 + 5 for seed in seeds])
+    for epoch, _ in enumerate(epoch_steps, start=1):
+        diverged = np.nonzero(~np.isfinite(w).all(axis=1))[0]
+        if diverged.size:
+            raise descent.Diverged(f"gridparity seed {seeds[diverged[0]]}: non-finite "
+                                   f"weights after epoch {epoch}")
+        for k in range(len(seeds)):
+            trained = net.with_weights(w[k])
+            train_out = trained.evaluate_batch(train_imgs[k].astype(np.float64))
+            test_out = trained.evaluate_batch(test_imgs[k].astype(np.float64))
+            rows[k].append((epoch, float(np.mean(loss.value(train_out, y_train[k]))),
+                            float(np.mean((train_out >= 0.5) != (train_labels[k] == 1))),
+                            float(np.mean((test_out >= 0.5) != (test_labels[k] == 1)))))
     return rows
 
 
-class _EpochPairSource:
-    """Pre-set training pairs, reshuffled each pass; duck-types SampleSource."""
-
-    def __init__(self, xs, ys, seed):
-        self.xs = xs
-        self.ys = ys
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-        self._order = None
-        self._cursor = 0
-
-    def with_seed(self, seed):
-        return _EpochPairSource(self.xs, self.ys, seed)
-
-    def next_sample(self):
-        if self._order is None or self._cursor >= len(self.ys):
-            self._order = self._rng.permutation(len(self.ys))
-            self._cursor = 0
-        i = self._order[self._cursor]
-        self._cursor += 1
-        return self.xs[i], float(self.ys[i])
+def _epoch_blocks(imgs, ys, orders, epochs):
+    """One sample block per epoch for a stack of K datasets, images imgs
+    (K, N, n) and labels ys (K, N): row k is dataset k in the order of a
+    fresh orders[k].permutation, as float inputs (N, K, n) and labels (N, K)."""
+    at = np.arange(len(ys))
+    for _ in range(epochs):
+        order = np.stack([rng.permutation(ys.shape[1]) for rng in orders], axis=1)
+        yield imgs[at, order].astype(np.float64), ys[at, order]
 
 
 def cmd_gridparity(config: dict, ctx: RunContext) -> int:
@@ -535,24 +528,14 @@ def cmd_gridparity(config: dict, ctx: RunContext) -> int:
         raise SchemaError(f"gridparity.gamma must be finite and >= 0, got {spec['gamma']}")
     seeds = [ctx.seed + i for i in range(spec["n_seeds"])]
     # every seed runs before any file is written, so a seed that diverges leaves none
-    results = [
-        run_gridparity_seed(spec["grid_k"], spec["widths"], spec["epochs"], spec["train_count"],
-                            spec["test_count"], spec["gamma"], loss, seed)
-        for seed in seeds
-    ]
-    summary = []
+    results = run_gridparity(spec["grid_k"], spec["widths"], spec["epochs"],
+                             spec["train_count"], spec["test_count"], spec["gamma"], loss, seeds)
     for seed, rows in zip(seeds, results):
-        _write_csv(
-            ctx.out_dir / f"gridparity_seed{seed}.csv",
-            ("epoch", "train_loss", "train_err", "test_err"),
-            rows,
-        )
-        summary.append((seed, rows[-1][1], rows[-1][2], rows[-1][3]))
-    _write_csv(
-        ctx.out_dir / "gridparity_summary.csv",
-        ("seed", "final_train_loss", "final_train_err", "final_test_err"),
-        summary,
-    )
+        _write_csv(ctx.out_dir / f"gridparity_seed{seed}.csv",
+                   ("epoch", "train_loss", "train_err", "test_err"), rows)
+    _write_csv(ctx.out_dir / "gridparity_summary.csv",
+               ("seed", "final_train_loss", "final_train_err", "final_test_err"),
+               [(seed, *rows[-1][1:]) for seed, rows in zip(seeds, results)])
     return 0
 
 

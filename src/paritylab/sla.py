@@ -204,12 +204,10 @@ def _trace_stream(machines, sources, steps: int):
 
 
 def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int):
-    """The traces of K budgeted-SGD machines that differ only in seed, with
-    their weights as the rows of one stack.  A generator: every step runs
-    before the first trace is built, then the traces are built and yielded
-    one at a time, in order."""
+    """The traces of K budgeted-SGD machines that differ only in seed, one
+    stack of the sample-descent loop.  A generator: every step runs before
+    the first trace is built, then the traces are yielded one by one, in order."""
     net, loss, config = runs[0].net, runs[0].loss, runs[0].config
-    seeds = [run.config.seed for run in runs]
     w = np.stack([run.w0 for run in runs])
     rows = np.arange(len(runs))[:, None]
     # every sample up front, filled source by source: step t reads the
@@ -219,20 +217,18 @@ def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int):
     for k, src in enumerate(sources):
         block[:, k], labels[:, k] = src.take(steps)
     block.setflags(write=False)
-    # step t's symbols, for every row: the coordinates, their new values,
-    # which of them changed, and the accuracy bits
+    # step t's symbols, for every row: the coordinates, their new values and
+    # which of them changed
     shape = (steps, len(runs), min(config.coord_budget, net.n_edges))
     sel = np.empty(shape, dtype=np.intp)
     new = np.empty(shape)
     changed = np.empty(shape, dtype=bool)
-    acc = np.empty((steps, len(runs)), dtype=bool)
-    gradient = net._gradient_into(w, np.empty_like(w), loss)
-    for t in range(1, steps + 1):
-        grads, outputs = gradient(block[t - 1], labels[t - 1])
-        acc[t - 1] = _descent._acc_bit(net, outputs, labels[t - 1], loss)
-        sel[t - 1], new[t - 1], _ = _descent.budgeted_step(w, grads, config, seeds, t)
-        np.not_equal(new[t - 1], w[rows, sel[t - 1]], out=changed[t - 1])
-        w[rows, sel[t - 1]] = new[t - 1]
+
+    def record(t, acc, step_sel, step_changed, update):
+        sel[t - 1], new[t - 1], changed[t - 1] = step_sel, w[rows, step_sel], step_changed
+    acc, = _descent._sample_descent(net, w, [(block, labels)], loss, config,
+                                    [run.config.seed for run in runs], on_step=record)
+    acc = acc.reshape(steps, len(runs))
     for k in range(len(runs)):
         # step t's symbol is (the (coordinate, value) pairs that changed, acc bit)
         kept = map(tuple, map(compress, map(zip, sel[:, k].tolist(), new[:, k].tolist()),

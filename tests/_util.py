@@ -1,8 +1,9 @@
-"""Shared test helpers: random DAG nets, a per-vertex reference for the net
-kernels, and an independent girth verifier."""
+"""Shared test helpers: random DAG nets, the nets of the bound-step cases, a
+per-vertex reference for the net kernels, and an independent girth verifier."""
 
 import numpy as np
 
+from paritylab import labcli
 from paritylab import netcore as nc
 
 
@@ -42,6 +43,34 @@ def make_random_dag_net(rng, n_inputs=4, n_interior=6, activation=nc.SIGMOID,
     )
     weights = rng.uniform(-weight_scale, weight_scale, size=graph.n_edges)
     return nc.NeuralNet(activation, graph, nc.WeightVector(graph, weights))
+
+
+def bound_step_net(case):
+    """The net of one BOUND_STEP_CASES entry: MLPs named by their hidden and
+    output activations, criterion 5's net, and gather-plan nets (the
+    monomial net and random DAGs)."""
+    rng = np.random.default_rng(41)
+    if case == "criterion5":
+        return labcli._pytorch_uniform_net(25, [64, 64, 64], seed=42)
+    if case == "monomial":
+        net = nc.build_monomial_net(4, 2)  # cosine levels, identity readout
+        return net.with_weights(net.weights.values + rng.normal(0.0, 0.3, net.n_edges))
+    if case.startswith("dag_"):
+        return make_random_dag_net(rng, n_inputs=4, n_interior=7,
+                                   activation=nc.ACTIVATIONS[case[4:]])
+    hidden, out = case.split("_")
+    return nc.build_mlp(5, [6, 4], nc.ACTIVATIONS[hidden], nc.ACTIVATIONS[out],
+                        init="he_uniform", rng=rng)
+
+
+BOUND_STEP_CASES = [
+    ("sigmoid_sigmoid", nc.SQUARED_ERROR), ("sigmoid_sigmoid", nc.LOGISTIC_BCE),
+    ("tanh_identity", nc.SQUARED_ERROR), ("relu_sigmoid", nc.LOGISTIC_BCE),
+    ("cosine_tanh", nc.SQUARED_ERROR), ("identity_identity", nc.SQUARED_ERROR),
+    ("criterion5", nc.SQUARED_ERROR),
+    ("monomial", nc.SQUARED_ERROR), ("dag_sigmoid", nc.SQUARED_ERROR),
+    ("dag_relu", nc.SQUARED_ERROR), ("dag_tanh", nc.SQUARED_ERROR),
+]
 
 
 def _incoming(graph):

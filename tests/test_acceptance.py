@@ -119,14 +119,12 @@ def test_criterion_04_gradient_finite_differences():
 
 
 def test_criterion_05_grid_parity_replication():
-    train_errs, test_errs = [], []
-    for seed in range(10):
-        rows = labcli.run_gridparity_seed(
-            grid_k=5, widths=[64, 64, 64], epochs=80, train_count=1000,
-            test_count=1000, gamma=0.1, loss=nc.SQUARED_ERROR, seed=seed,
-        )
-        train_errs.append(rows[-1][2])
-        test_errs.append(rows[-1][3])
+    results = labcli.run_gridparity(
+        grid_k=5, widths=[64, 64, 64], epochs=80, train_count=1000,
+        test_count=1000, gamma=0.1, loss=nc.SQUARED_ERROR, seeds=list(range(10)),
+    )
+    train_errs = [rows[-1][2] for rows in results]
+    test_errs = [rows[-1][3] for rows in results]
     mean_train = float(np.mean(train_errs))
     mean_test = float(np.mean(test_errs))
     ok = mean_train <= 0.05 and 0.45 <= mean_test <= 0.55

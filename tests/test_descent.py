@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from paritylab import descent as dc
 from paritylab import funcdist as fd
 from paritylab import netcore as nc
-from _util import make_random_dag_net
+from _util import BOUND_STEP_CASES, bound_step_net, make_random_dag_net
 
 
 def one_edge_identity(w=1.0):
@@ -273,7 +274,7 @@ class TestAccuracyBit:
 
     def test_grid_parity_bits_track_train_accuracy(self):
         # a 9-16-1 net on 200 3x3 images with 0/1 squared-loss targets, in the
-        # seed layout of run_gridparity_seed(seed=3); before the labels were
+        # seed layout of run_gridparity(seeds=[3]); before the labels were
         # read in output space the last epoch's bit rate was 0.125 against a
         # train accuracy of 0.685
         from paritylab import labcli
@@ -282,18 +283,23 @@ class TestAccuracyBit:
         imgs, labels = fd.grid_dataset(fd.GridDatasetSpec(3, 200, seed=s + 1))
         xs, ys = imgs.astype(float), labels.astype(float)
         net = labcli._pytorch_uniform_net(9, [16], seed=s + 3)
-        source = labcli._EpochPairSource(xs, ys, seed=s + 4)
+
+        def train(gamma, epochs):  # a one-row stack, as the runner makes it
+            w = net.weights.values[None].copy()
+            blocks = labcli._epoch_blocks(imgs[None], ys[None], [np.random.default_rng(s + 4)],
+                                          epochs)
+            bits = np.concatenate(list(dc._sample_descent(
+                net, w, blocks, nc.SQUARED_ERROR, dc.DescentConfig(gamma=gamma, steps=200),
+                [s + 5])))
+            return net.with_weights(w[0]), bits
         # gamma 0: one epoch of bits is exactly the fixed net's train accuracy
-        frozen, log = dc.sgd_run(net, source.with_seed(s + 4), nc.SQUARED_ERROR,
-                                 dc.DescentConfig(gamma=0.0, steps=200),
-                                 record_steps=False)
+        frozen, bits = train(0.0, 1)
         accuracy = np.mean((frozen.evaluate_batch(xs) >= 0.5) == (labels == 1))
-        assert np.mean(log.acc_bits) == accuracy
-        cfg = dc.DescentConfig(gamma=0.1, steps=2000, seed=s + 5)
-        final, log = dc.sgd_run(net, source, nc.SQUARED_ERROR, cfg, record_steps=False)
+        assert np.mean(bits) == accuracy
+        final, bits = train(0.1, 10)
         accuracy = np.mean((final.evaluate_batch(xs) >= 0.5) == (labels == 1))
         assert accuracy > 0.6
-        assert abs(np.mean(log.acc_bits[-200:]) - accuracy) < 0.15
+        assert abs(np.mean(bits[-200:]) - accuracy) < 0.15
 
 
 class TestCoordinateDescent:
@@ -412,6 +418,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             dc.NoiseSpec("gaussian", variance=-1.0)
 
+    @pytest.mark.parametrize("kind, knob", [("gaussian", "variance"), ("uniform", "halfwidth"),
+                                            ("none", "variance"), ("none", "halfwidth")])
+    def test_noise_refuses_nan(self, kind, knob):
+        # is_active reads NaN as off: a NaN noise would run as no noise
+        with pytest.raises(ValueError, match="non-negative"):
+            dc.NoiseSpec(kind, **{knob: math.nan})
+
+    def test_sgd_run_refuses_a_budget(self):
+        # a budgeted config is coordinate descent: cd_run, not sgd_run
+        cfg = dc.DescentConfig(gamma=0.1, steps=5, coord_budget=2)
+        with pytest.raises(ValueError, match="coord_budget"):
+            dc.sgd_run(one_edge_identity(), fd.SampleSource.null(fd.UniformInputs(1), seed=0),
+                       nc.SQUARED_ERROR, cfg)
+
+    @pytest.mark.parametrize("knob", ["gamma", "init_perturb_variance"])
+    def test_config_refuses_nan(self, knob):
+        with pytest.raises(ValueError, match=knob):
+            dc.DescentConfig(**{"gamma": 0.1, "steps": 1, knob: math.nan})
+
 
 class TestRunLogFormat:
     def test_jsonl_record_shape(self):
@@ -476,6 +501,140 @@ class TestBudgetedStep:
             assert [a.tobytes() for a in one] == [a[k:k + 1].tobytes()
                                                   for a in (sel, new, update)]
             assert np.all(np.abs(new[k]) <= 0.75)
+
+
+# ---------------------------------------------------------------------------
+# the sample-descent loop: stacks and sample blocks
+# ---------------------------------------------------------------------------
+
+# name: DescentConfig knobs, and whether only every third edge trains
+_STACK_KNOBS = {
+    "sgd_noise_clamp_quantized": ({"noise": dc.NoiseSpec.gaussian(0.01), "weight_clamp_b": 0.75,
+                                   "quantization": nc.QuantizationSpec(8, 4)}, False),
+    "sgd_trainable": ({"noise": dc.NoiseSpec.uniform(0.05)}, True),
+    "cd_topk": ({"coord_budget": 3, "noise": dc.NoiseSpec.uniform(0.05),
+                 "quantization": nc.QuantizationSpec(8, 4)}, False),
+    "cd_randomk": ({"coord_budget": 3, "coord_rule": "randomk", "weight_clamp_b": 0.75,
+                    "noise": dc.NoiseSpec.gaussian(0.01)}, False),
+}
+# view-plan and gather-plan nets
+_STACK_NETS = [case for case in BOUND_STEP_CASES
+               if case[0] in ("relu_sigmoid", "tanh_identity", "criterion5", "monomial",
+                              "dag_tanh")]
+
+
+class TestSampleDescentStack:
+    @staticmethod
+    def _run(net, w, blocks, loss, cfg, seeds, trainable):
+        """The loop's final weights, accuracy bits, and per step its bits, the
+        edges each row wrote, their new values, which changed, and gamma *
+        grad there."""
+        steps = []
+
+        def record(t, acc, sel, changed, update):
+            values = w.reshape(-1, w.shape[-1])[np.arange(len(sel))[:, None], sel]
+            steps.append((t, np.array(acc), np.array(sel), values, changed.copy(),
+                          update.copy()))
+        bits = dc._sample_descent(net, w, blocks, loss, cfg, seeds, trainable, record)
+        return w, np.concatenate(list(bits)), steps
+
+    @pytest.mark.parametrize("knobs", list(_STACK_KNOBS))
+    @pytest.mark.parametrize("case, loss", _STACK_NETS,
+                             ids=[f"{c}-{l.kind}" for c, l in _STACK_NETS])
+    def test_row_equals_its_one_row_run(self, case, loss, knobs):
+        """Row k of a K-row stack equals the run of row k alone, at lead shape
+        () with seed k, bit for bit: weights, accuracy bits, and each step's
+        edges, values, changes and updates.  The two take their samples in
+        blocks of different sizes; t runs on across blocks."""
+        net = bound_step_net(case)
+        config, some_edges = _STACK_KNOBS[knobs]
+        cfg = dc.DescentConfig(gamma=0.3, steps=12, **config)
+        trainable = np.arange(0, net.n_edges, 3) if some_edges else None
+        rng = np.random.default_rng(52)
+        k_rows, steps = 3, cfg.steps
+        seeds = [70 + k for k in range(k_rows)]
+        w0 = dc._store(net.weights.values + rng.normal(0.0, 0.2, size=(k_rows, net.n_edges)),
+                       cfg.weight_clamp_b, cfg.quantization)
+        xs = 1.0 - 2.0 * rng.integers(0, 2, size=(steps, k_rows, net.n_inputs)).astype(float)
+        ys = 1.0 - 2.0 * rng.integers(0, 2, size=(steps, k_rows)).astype(float)
+        w, bits, records = self._run(net, w0.copy(), [(xs[:5], ys[:5]), (xs[5:], ys[5:])],
+                                     loss, cfg, seeds, trainable)
+        assert bits.shape == (steps, k_rows) and len(records) == steps
+        for k in range(k_rows):
+            one, one_bits, one_records = self._run(
+                net, w0[k].copy(), [(xs[:8, k], ys[:8, k]), (xs[8:, k], ys[8:, k])], loss, cfg,
+                seeds[k:k + 1], trainable)
+            assert one.shape == (net.n_edges,)
+            assert one.tobytes() == w[k].tobytes()
+            assert one_bits.tolist() == bits[:, k].tolist()
+            for (t, acc, *arrays), (one_t, one_acc, *one_arrays) in zip(records, one_records):
+                assert one_t == t and one_acc == acc[k]
+                assert [a.tobytes() for a in one_arrays] == [a[k:k + 1].tobytes() for a in arrays]
+        assert not np.array_equal(w, w0)
+
+
+class TestSampleBlocks:
+    """sgd_run and cd_run draw their samples in takes of at most _SAMPLE_CHUNK."""
+
+    @staticmethod
+    def _net():
+        return nc.build_mlp(6, [4], nc.SIGMOID, init="he_uniform", rng=np.random.default_rng(5))
+
+    @staticmethod
+    def _source():
+        return fd.SampleSource.planted(fd.ParitySubset(6, 0b100101), fd.UniformInputs(6), seed=8)
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "cd"])
+    def test_takes_are_bounded_and_cover_the_run(self, algorithm):
+        steps = 2 * dc._SAMPLE_CHUNK + 5
+        cfg = dc.DescentConfig(gamma=0.1, steps=steps, seed=3,
+                               coord_budget=2 if algorithm == "cd" else None)
+        run = dc.cd_run if algorithm == "cd" else dc.sgd_run
+        with mock.patch.object(fd.SampleSource, "take", autospec=True,
+                               side_effect=fd.SampleSource.take) as took:
+            _, log = run(self._net(), self._source(), nc.SQUARED_ERROR, cfg, record_steps=False)
+        counts = [c.args[1] for c in took.call_args_list]
+        assert len(counts) == 3 and max(counts) <= dc._SAMPLE_CHUNK
+        assert sum(counts) == steps == len(log.acc_bits)
+
+    def test_shared_source_continues_its_stream(self):
+        """Two runs on one source draw what one source would draw for both,
+        in turn; the second equals a run on a source that skipped the first's."""
+        net, first = self._net(), dc._SAMPLE_CHUNK + 3
+        cfg = dc.DescentConfig(gamma=0.1, steps=first, seed=3)
+        shared = self._source()
+        dc.sgd_run(net, shared, nc.SQUARED_ERROR, cfg, record_steps=False)
+        second, log = dc.sgd_run(net, shared, nc.SQUARED_ERROR,
+                                 dataclasses.replace(cfg, steps=40), record_steps=False)
+        skipped = self._source()
+        skipped.take(first)
+        again, log_again = dc.sgd_run(net, skipped, nc.SQUARED_ERROR,
+                                      dataclasses.replace(cfg, steps=40), record_steps=False)
+        assert second.weights.values.tobytes() == again.weights.values.tobytes()
+        assert log.acc_bits == log_again.acc_bits
+        xs, ys = shared.take(4)
+        all_xs, all_ys = self._source().take(first + 44)
+        assert xs.tobytes() == all_xs[-4:].tobytes() and ys.tobytes() == all_ys[-4:].tobytes()
+
+    def test_one_row_runs_bind_a_one_dimensional_gradient(self):
+        """A single run, a one-machine trace and a one-seed grid-parity run
+        bind their gradient at lead shape (), which costs less than a
+        one-row stack; two grid-parity seeds bind a stack."""
+        from paritylab import labcli, sla
+
+        net = self._net()
+        cfg = dc.DescentConfig(gamma=0.1, steps=5, seed=3, coord_budget=1,
+                               quantization=nc.QuantizationSpec(8, 4))
+        with mock.patch.object(nc.NeuralNet, "_gradient_into", autospec=True,
+                               side_effect=nc.NeuralNet._gradient_into) as bound:
+            dc.sgd_run(net, self._source(), nc.SQUARED_ERROR,
+                       dataclasses.replace(cfg, coord_budget=None))
+            dc.cd_run(net, self._source(), nc.SQUARED_ERROR, cfg)
+            sla.run_trace(sla.sgd_as_sla(net, nc.SQUARED_ERROR, cfg), self._source(), 5)
+            labcli.run_gridparity(2, [3], 1, 4, 4, 0.1, nc.SQUARED_ERROR, seeds=[3])
+            labcli.run_gridparity(2, [3], 1, 4, 4, 0.1, nc.SQUARED_ERROR, seeds=[3, 4])
+        shapes = [c.args[2].shape for c in bound.call_args_list]
+        assert shapes == [(net.n_edges,)] * 3 + [(19,), (2, 19)]
 
 
 # ---------------------------------------------------------------------------

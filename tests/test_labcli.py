@@ -268,6 +268,20 @@ class TestDivergence:
         assert err == "diverged: sgd: non-finite weights after 50 steps\n"
         assert not (tmp_path / "out" / "net.json").exists()
 
+    def test_stacked_gridparity_names_the_seed_and_epoch(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "experiment": "gridparity", "seed": 7, "output_dir": str(tmp_path / "out"),
+            "parameters": {**_GRIDPARITY_BASE, "train_count": 20, "loss": "bce", "gamma": 1e308,
+                           "n_seeds": 2},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert labcli.main(["gridparity", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        # seed 7's row stays finite through epoch 1; seed 8's does not
+        assert err == "diverged: gridparity seed 8: non-finite weights after epoch 1\n"
+        assert _gridparity_csvs(tmp_path) == []
+
     def test_large_finite_step_still_succeeds(self, tmp_path):
         assert self._train(tmp_path, 1e6) == 0
         net = netcore.net_from_json((tmp_path / "out" / "net.json").read_text())
@@ -608,6 +622,13 @@ class TestCommandContracts:
         ("train", {**_TRAIN_BASE, "algorithm": "gd",
                    "descent": {"gamma": 0.1, "steps": 5, "overflow_b": math.nan}}),
         ("train", {**_TRAIN_BASE, "descent": {"gamma": 10 ** 400, "steps": 5}}),
+        ("train", {**_TRAIN_BASE, "descent": {"gamma": math.nan, "steps": 5}}),
+        ("train", {**_TRAIN_BASE, "descent": {"gamma": 0.1, "steps": 5, "noise_kind": "gaussian",
+                                              "noise_variance": math.nan}}),
+        ("train", {**_TRAIN_BASE, "descent": {"gamma": 0.1, "steps": 5, "noise_kind": "uniform",
+                                              "noise_halfwidth": math.nan}}),
+        ("train", {**_TRAIN_BASE, "descent": {"gamma": 0.1, "steps": 5,
+                                              "init_perturb_variance": math.nan}}),
         ("bounds", {"gd_grid": [{**_GD_ROW, "steps": 10 ** 400}]}),
         ("bounds", {"sgd_grid": [{"gamma": 0.1, "overflow_b": 1.0, "steps": 10, "m": 10 ** 400,
                                   "n": 8}]}),
@@ -621,7 +642,8 @@ class TestCommandContracts:
             "sgd_p-0.5", "sgd_c-100", "sgd_c_nan", "gd_gamma_inf_steps0",
             "sgd_gamma_inf_steps0", "aer_m_nan", "aer_count0", "train_cd_budget0",
             "train_gd_budget2", "train_sgd_budget2", "train_n0", "train_overflow_nan",
-            "train_gamma_1e400", "gd_steps_1e400", "sgd_m_1e400", "phase_n13_trials0",
+            "train_gamma_1e400", "train_gamma_nan", "train_noise_variance_nan",
+            "train_noise_halfwidth_nan", "train_perturb_nan", "gd_steps_1e400", "sgd_m_1e400", "phase_n13_trials0",
             "phase_trials-1", "phase_gamma-1", "phase_steps-1", "phase_width_1e400"])
     def test_invalid_config_exits_2(self, tmp_path, command, parameters):
         code, stderr, manifest = _run_lab(command, parameters, tmp_path)

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from paritylab import labcli
 from paritylab import netcore as nc
-from _util import (finite_difference_gradient, gradient_scaled_error, make_random_dag_net,
-                   reference_forward, reference_gradient)
+from _util import (BOUND_STEP_CASES, bound_step_net, finite_difference_gradient,
+                   gradient_scaled_error, make_random_dag_net, reference_forward,
+                   reference_gradient)
 
 
 def chain_net(activation=nc.SIGMOID, w_const=0.0):
@@ -833,31 +834,6 @@ class TestGradientStack:
             net.gradient_stack(np.zeros((2, net.n_edges)), np.ones((3, 3)), np.ones(3))
 
 
-def _bound_step_net(case):
-    rng = np.random.default_rng(41)
-    if case == "criterion5":
-        return labcli._pytorch_uniform_net(25, [64, 64, 64], seed=42)
-    if case == "monomial":
-        net = nc.build_monomial_net(4, 2)  # cosine levels, identity readout
-        return net.with_weights(net.weights.values + rng.normal(0.0, 0.3, net.n_edges))
-    if case.startswith("dag_"):
-        return make_random_dag_net(rng, n_inputs=4, n_interior=7,
-                                   activation=nc.ACTIVATIONS[case[4:]])
-    hidden, out = case.split("_")
-    return nc.build_mlp(5, [6, 4], nc.ACTIVATIONS[hidden], nc.ACTIVATIONS[out],
-                        init="he_uniform", rng=rng)
-
-
-_BOUND_STEP_CASES = [
-    ("sigmoid_sigmoid", nc.SQUARED_ERROR), ("sigmoid_sigmoid", nc.LOGISTIC_BCE),
-    ("tanh_identity", nc.SQUARED_ERROR), ("relu_sigmoid", nc.LOGISTIC_BCE),
-    ("cosine_tanh", nc.SQUARED_ERROR), ("identity_identity", nc.SQUARED_ERROR),
-    ("criterion5", nc.SQUARED_ERROR),
-    ("monomial", nc.SQUARED_ERROR), ("dag_sigmoid", nc.SQUARED_ERROR),
-    ("dag_relu", nc.SQUARED_ERROR), ("dag_tanh", nc.SQUARED_ERROR),
-]
-
-
 class TestBoundStep:
     """NeuralNet._gradient_into: one function per run, whose per-level
     buffers every step overwrites."""
@@ -877,10 +853,10 @@ class TestBoundStep:
             w -= 0.05 * grad
         return steps
 
-    @pytest.mark.parametrize("case, loss", _BOUND_STEP_CASES,
-                             ids=[f"{c}-{l.kind}" for c, l in _BOUND_STEP_CASES])
+    @pytest.mark.parametrize("case, loss", BOUND_STEP_CASES,
+                             ids=[f"{c}-{l.kind}" for c, l in BOUND_STEP_CASES])
     def test_steps_equal_gradient_array_and_stack_rows(self, case, loss):
-        net = _bound_step_net(case)
+        net = bound_step_net(case)
         assert is_view_plan(net) == (case != "monomial" and not case.startswith("dag_"))
         w = net.weights.values.copy()
         steps = self._steps(net, loss, net._gradient_into(w, np.zeros_like(w), loss), w, 43)
@@ -894,8 +870,8 @@ class TestBoundStep:
             assert np.asarray(output).tobytes() == output_bytes
 
     @pytest.mark.parametrize("kind", ["batch", "stack"])
-    @pytest.mark.parametrize("case, loss", _BOUND_STEP_CASES,
-                             ids=[f"{c}-{l.kind}" for c, l in _BOUND_STEP_CASES])
+    @pytest.mark.parametrize("case, loss", BOUND_STEP_CASES,
+                             ids=[f"{c}-{l.kind}" for c, l in BOUND_STEP_CASES])
     def test_bound_batch_and_stack_rows_equal_gradient_array(self, case, loss, kind):
         """A function bound on a stack (K, n_edges) at a weight stack, or on a
         batch (rows, n_edges) at one weight vector, stepped 5 times with the
@@ -904,7 +880,7 @@ class TestBoundStep:
         for all its rows, whose bits may differ from one row's: it equals a
         fresh gradient_batch bit for bit, and gradient_array to 1e-12
         (relative, as the identity nets' steps grow the weights)."""
-        net = _bound_step_net(case)
+        net = bound_step_net(case)
         rng = np.random.default_rng(46)
         for rows in (1, 4):
             if kind == "stack":
@@ -936,7 +912,7 @@ class TestBoundStep:
         """Two functions bound on one net (and its shared plan), stepped in
         turn, each equal a run of its own; a gradient_array result taken
         between their steps is not written by them."""
-        net = _bound_step_net(case)
+        net = bound_step_net(case)
         runs = []
         for seed in (44, 45):
             w = net.weights.values.copy()
