@@ -21,6 +21,7 @@ import numpy as np
 from .netcore import (
     BudgetExceeded,
     DimensionMismatch,
+    Diverged,
     LossKind,
     NeuralNet,
     QuantizationSpec,
@@ -33,10 +34,6 @@ from .netcore import (
 
 class EmptyPopulation(Exception):
     """Population gradient requested over zero samples."""
-
-
-class Diverged(Exception):
-    """A descent run ended with non-finite weights."""
 
 
 def _check_finite(w, algorithm: str, steps: int):
@@ -187,16 +184,6 @@ class Population:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "probs", probs)
-
-    @classmethod
-    def from_samples(cls, samples) -> "Population":
-        """Uniform mass on an explicit (x, y) list."""
-        if len(samples) == 0:
-            raise EmptyPopulation("population has no samples")
-        xs = np.array([x for x, _ in samples], dtype=np.float64)
-        ys = np.array([y for _, y in samples], dtype=np.float64)
-        probs = np.full(len(samples), 1.0 / len(samples))
-        return cls(xs, ys, probs)
 
     @classmethod
     def uniform_grid(cls, n: int, labeler: Callable[[np.ndarray], np.ndarray]) -> "Population":

@@ -46,11 +46,6 @@ def bits_to_pm(bits):
 _PM_OF_BIT = np.array([1.0, -1.0])  # bits_to_pm as a lookup table for 0/1 ints
 
 
-def pm_to_bits(values):
-    values = np.asarray(values)
-    return ((1.0 - values) / 2.0).astype(np.int64)
-
-
 def all_inputs_pm(n: int, cap: int = 24) -> np.ndarray:
     """All of {+1,-1}^n, row j having coordinate i = bit i of j."""
     if n > cap:
@@ -58,10 +53,6 @@ def all_inputs_pm(n: int, cap: int = 24) -> np.ndarray:
     idx = np.arange(2 ** n, dtype=np.uint64)
     bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
     return bits_to_pm(bits)
-
-
-def mask_to_subset(mask: int) -> frozenset:
-    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 def subset_to_mask(subset: Iterable[int]) -> int:
@@ -81,17 +72,15 @@ class FunctionId:
     n: int
 
     def evaluate(self, x) -> float:
-        raise NotImplementedError
-
-    def evaluate_batch(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        return np.array([self.evaluate(x) for x in xs])
-
-    def _check(self, x):
+        """f(x) for one input: evaluate_batch on a one-row batch."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"input shape {x.shape} != ({self.n},)")
-        return x
+        return float(self.evaluate_batch(x[None])[0])
+
+    def evaluate_batch(self, xs) -> np.ndarray:
+        """f of each row of a (rows, n) input block, exactly +-1."""
+        raise NotImplementedError
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -116,11 +105,6 @@ class ParitySubset(FunctionId):
     @property
     def indices(self) -> np.ndarray:
         return self._indices
-
-    def evaluate(self, x) -> float:
-        x = self._check(x)
-        odd = int(np.count_nonzero(x[self._indices] < 0)) & 1
-        return -1.0 if odd else 1.0
 
     def evaluate_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
@@ -159,12 +143,6 @@ class RandomTable(FunctionId):
         of the first digest byte after feeding it the packed input."""
         return hashlib.blake2b(digest_size=8, key=self.seed.to_bytes(8, "little", signed=False))
 
-    def evaluate(self, x) -> float:
-        x = self._check(x)
-        h = self._keyed()
-        h.update(np.packbits(x < 0).tobytes())
-        return 1.0 - 2.0 * (h.digest()[0] & 1)
-
     def evaluate_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         packed = np.packbits(xs < 0, axis=1)
@@ -184,10 +162,6 @@ class RandomTable(FunctionId):
 class ConstPlus(FunctionId):
     n: int
 
-    def evaluate(self, x) -> float:
-        self._check(x)
-        return 1.0
-
     def evaluate_batch(self, xs) -> np.ndarray:
         return np.ones(np.asarray(xs).shape[0])
 
@@ -199,19 +173,11 @@ class ConstPlus(FunctionId):
 class ConstMinus(FunctionId):
     n: int
 
-    def evaluate(self, x) -> float:
-        self._check(x)
-        return -1.0
-
     def evaluate_batch(self, xs) -> np.ndarray:
         return -np.ones(np.asarray(xs).shape[0])
 
     def describe(self) -> dict:
         return {"kind": "const", "n": self.n, "sign": -1}
-
-
-def eval_function(f: FunctionId, x) -> float:
-    return f.evaluate(x)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +329,6 @@ class Explicit(FunctionDistribution):
 
     def describe(self):
         return {"kind": "explicit", "n": self.n, "support": len(self.items)}
-
-
-def draw_function(dist: FunctionDistribution, seed: int) -> FunctionId:
-    return dist.draw(np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -41,61 +41,168 @@ EXIT_BUDGET = 3
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _check_keys(section: dict, allowed: dict, where: str) -> dict:
-    """Reject unknown keys, apply defaults, coerce types."""
-    unknown = set(section) - set(allowed)
+_REQUIRED = object()
+_FLOAT_MAX = sys.float_info.max  # an upper bound that refuses inf
+
+# Each section's keys as (type, default[, low[, high]]), the bounds inclusive.
+# A list type [t] checks each element as a t.
+KEY_TABLES = {
+    "config": {
+        "experiment": (str, _REQUIRED),
+        "seed": (int, 0),
+        "parameters": (dict, {}),
+        "output_dir": (str, "lab_out"),
+    },
+    "distribution": {
+        "kind": (str, _REQUIRED),
+        "n": (int, _REQUIRED),
+    },
+    "net": {
+        "widths": ([int], _REQUIRED, 1),
+        "activation": (str, "sigmoid"),
+        "out_activation": (str, ""),
+        "init": (str, "he_uniform"),
+    },
+    "descent": {
+        "gamma": (float, _REQUIRED),
+        "steps": (int, _REQUIRED),
+        "overflow_b": (float, math.inf),
+        "weight_clamp_b": (float, math.inf),
+        "noise_kind": (str, "none"),
+        "noise_variance": (float, 0.0),
+        "noise_halfwidth": (float, 0.0),
+        "init_perturb_variance": (float, 0.0),
+        "quantization_bits": ([int], []),
+        "coord_budget": (int, 0),
+        "coord_rule": (str, "topk"),
+    },
+    "xpred": {
+        "distribution": (dict, _REQUIRED),
+        "method": (str, "auto"),
+        "outer_pairs": (int, 20000, 2),
+        "inner_x": (int, 512, 2),
+    },
+    "train": {
+        "n": (int, _REQUIRED, 1),
+        "function_mask": (int, _REQUIRED),
+        "net": (dict, _REQUIRED),
+        "descent": (dict, _REQUIRED),
+        "algorithm": (str, "sgd"),
+        "loss": (str, "squared"),
+    },
+    "distinguish": {
+        "distribution": (dict, _REQUIRED),
+        "steps": (int, _REQUIRED),
+        "trials": (int, _REQUIRED),
+        "statistic": (str, "prediction_count"),
+        "machine": (str, "sgd_sla"),
+        "net": (dict, {}),
+        "descent": (dict, {}),
+        "cap_constant": (float, 1.0),
+    },
+    "gridparity": {
+        "grid_k": (int, 13, 1),
+        "widths": ([int], [128, 128, 128], 1),
+        "epochs": (int, 80, 1),
+        "train_count": (int, 1000, 1),
+        "test_count": (int, 1000, 1),
+        "gamma": (float, 0.1, 0.0, _FLOAT_MAX),
+        "loss": (str, "squared"),
+        "n_seeds": (int, 1, 1),
+    },
+    "phase": {
+        "n": (int, _REQUIRED, 1),
+        "k_values": ([int], _REQUIRED, 1),
+        "train_steps": (int, 4000, 0),
+        "gamma": (float, 0.05, 0.0),
+        "eval_trials": (int, 4000, 0),
+        "mlp_widths": ([int], [64, 64], 1),
+        "max_units": (int, 4096),
+        "methods": (list, ["engineered", "generic_mlp"]),
+    },
+    "bounds": {
+        "gd_grid": ([dict], []),
+        "sgd_grid": ([dict], []),
+        "empirical": (dict, {}),
+    },
+    "bounds.gd_grid[]": {
+        "gamma": (float, _REQUIRED),
+        "overflow_b": (float, _REQUIRED),
+        "steps": (int, _REQUIRED),
+        "m": (int, _REQUIRED),
+        "n": (int, _REQUIRED),
+        "sigma2": (float, _REQUIRED),
+    },
+    "bounds.sgd_grid[]": {
+        "gamma": (float, _REQUIRED),
+        "overflow_b": (float, _REQUIRED),
+        "steps": (int, _REQUIRED),
+        "m": (int, _REQUIRED),
+        "n": (int, _REQUIRED),
+        "p": (float, 0.0),
+        "c_const": (float, 1.0),
+    },
+    "bounds.empirical": {
+        "n": (int, _REQUIRED),
+        "widths": ([int], [16], 1),
+        "gamma": (float, 0.01),
+        "overflow_b": (float, 1.0),
+        "steps": (int, 500),
+        "sigma2": (float, _REQUIRED),
+        "n_parities": (int, 50, 1),
+    },
+    "gen-aer": {
+        "n": (int, _REQUIRED),
+        "m": (float, _REQUIRED),
+        "r": (int, _REQUIRED),
+        "count": (int, 1, 1),
+    },
+}
+
+
+def _check_keys(section: dict, where: str, extra: Optional[dict] = None) -> dict:
+    """Check ``section`` against KEY_TABLES[where] plus ``extra``: reject
+    unknown keys, apply defaults, coerce types and refuse values out of
+    bounds."""
+    table = {**KEY_TABLES[where], **(extra or {})}
+    unknown = set(section) - set(table)
     if unknown:
         raise SchemaError(f"unknown key(s) in {where}: {sorted(unknown)}")
     out = {}
-    for key, (typ, default) in allowed.items():
-        if key in section:
-            value = section[key]
-            if isinstance(value, bool) and typ is not bool:
-                raise SchemaError(f"{where}.{key} must be {typ}, got bool")
-            if isinstance(value, int):
-                _fits_float(value, f"{where}.{key}")
-                if typ is float:
-                    value = float(value)
-            if not isinstance(value, typ):
-                raise SchemaError(f"{where}.{key} must be {typ}, got {type(value).__name__}")
-            out[key] = value
-        elif default is _REQUIRED:
-            raise SchemaError(f"missing required key {where}.{key}")
-        else:
+    for key, (typ, default, *bounds) in table.items():
+        name = f"{where}.{key}"
+        if key not in section:
+            if default is _REQUIRED:
+                raise SchemaError(f"missing required key {name}")
             out[key] = default
+        elif isinstance(typ, list):
+            values = _checked(section[key], list, name)
+            out[key] = [_checked(v, typ[0], f"{name}[{i}]", *bounds)
+                        for i, v in enumerate(values)]
+        else:
+            out[key] = _checked(section[key], typ, name, *bounds)
     return out
 
 
-_REQUIRED = object()
-
-
-def _int_list(values: list, where: str, low=None, high=None) -> list:
-    """A list-valued key whose elements must each be an int (not a bool),
-    within [low, high] where those are given."""
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"{where} elements must be int, got {type(value).__name__}")
-        _fits_float(value, f"{where} elements")
-        if low is not None and value < low:
-            raise SchemaError(f"{where} elements must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise SchemaError(f"{where} elements must be <= {high}, got {value}")
-    return values
-
-
-def _fits_float(value: int, where: str):
-    """Refuse an int that float() cannot hold: JSON ints are unbounded, and
-    the commands compute with config numbers as floats."""
-    try:
-        float(value)
-    except OverflowError:
-        raise SchemaError(f"{where} must fit a float, got an int of "
-                          f"{value.bit_length()} bits") from None
-
-
-def _at_least(value, low, where: str):
-    if not value >= low:  # NaN fails too
-        raise SchemaError(f"{where} must be >= {low}, got {value}")
+def _checked(value, typ, name: str, low=None, high=None):
+    """``value`` as a ``typ`` (an int widens to a float), within the
+    inclusive bounds low and high where they are given."""
+    if isinstance(value, bool) and typ is not bool:
+        raise SchemaError(f"{name} must be {typ}, got bool")
+    if isinstance(value, int):
+        try:  # JSON ints are unbounded, and the commands compute with them as floats
+            float(value)
+        except OverflowError:
+            raise SchemaError(f"bad value in {name}: must fit a float, got an int of "
+                              f"{value.bit_length()} bits") from None
+        if typ is float:
+            value = float(value)
+    if not isinstance(value, typ):
+        raise SchemaError(f"{name} must be {typ}, got {type(value).__name__}")
+    if low is not None and not (low <= value and (high is None or value <= high)):  # NaN too
+        rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise SchemaError(f"bad value in {name}: must be {rule}, got {value}")
+    return value
 
 
 @contextmanager
@@ -107,34 +214,23 @@ def _values_checked(where: str):
         raise SchemaError(f"bad value in {where}: {exc}") from exc
 
 
+# distribution kind -> (class, its keys after kind and n, passed in this order)
+DISTRIBUTIONS = {
+    "parity_uniform": (funcdist.ParityUniform, {}),
+    "monomial_k": (funcdist.MonomialK, {"k": (int, _REQUIRED)}),
+    "uniform_all": (funcdist.UniformAll, {}),
+    "constant_mixture": (funcdist.ConstantMixture, {"p_const": (float, _REQUIRED)}),
+}
+
+
 def _dist_from_config(section: dict) -> funcdist.FunctionDistribution:
-    with _values_checked("distribution"):
-        return _build_dist(section)
-
-
-def _build_dist(section: dict) -> funcdist.FunctionDistribution:
     kind = section.get("kind")
-    if kind == "parity_uniform":
-        spec = _check_keys(section, {"kind": (str, _REQUIRED), "n": (int, _REQUIRED)}, "distribution")
-        return funcdist.ParityUniform(spec["n"])
-    if kind == "monomial_k":
-        spec = _check_keys(
-            section,
-            {"kind": (str, _REQUIRED), "n": (int, _REQUIRED), "k": (int, _REQUIRED)},
-            "distribution",
-        )
-        return funcdist.MonomialK(spec["n"], spec["k"])
-    if kind == "uniform_all":
-        spec = _check_keys(section, {"kind": (str, _REQUIRED), "n": (int, _REQUIRED)}, "distribution")
-        return funcdist.UniformAll(spec["n"])
-    if kind == "constant_mixture":
-        spec = _check_keys(
-            section,
-            {"kind": (str, _REQUIRED), "n": (int, _REQUIRED), "p_const": (float, _REQUIRED)},
-            "distribution",
-        )
-        return funcdist.ConstantMixture(spec["n"], spec["p_const"])
-    raise SchemaError(f"unknown distribution kind {kind!r}")
+    if not (isinstance(kind, str) and kind in DISTRIBUTIONS):
+        raise SchemaError(f"unknown distribution kind {kind!r}")
+    cls, extra = DISTRIBUTIONS[kind]
+    spec = _check_keys(section, "distribution", extra)
+    with _values_checked("distribution"):
+        return cls(spec["n"], *(spec[key] for key in extra))
 
 
 def _write_csv(path: Path, header, rows):
@@ -209,18 +305,7 @@ _STATUS = {0: "ok", EXIT_SCHEMA: "invalid", EXIT_BUDGET: "refused"}
 # ---------------------------------------------------------------------------
 
 def cmd_xpred(config: dict, ctx: RunContext) -> int:
-    spec = _check_keys(
-        config,
-        {
-            "distribution": (dict, _REQUIRED),
-            "method": (str, "auto"),
-            "outer_pairs": (int, 20000),
-            "inner_x": (int, 512),
-        },
-        "xpred",
-    )
-    for key in ("outer_pairs", "inner_x"):
-        _at_least(spec[key], 2, f"xpred.{key}")
+    spec = _check_keys(config, "xpred")
     dist = _dist_from_config(spec["distribution"])
     inputs = funcdist.UniformInputs(dist.n)
     method = spec["method"]
@@ -249,16 +334,7 @@ def cmd_xpred(config: dict, ctx: RunContext) -> int:
 
 
 def _net_from_config(section: dict, n: int, seed: int) -> netcore.NeuralNet:
-    spec = _check_keys(
-        section,
-        {
-            "widths": (list, _REQUIRED),
-            "activation": (str, "sigmoid"),
-            "out_activation": (str, ""),
-            "init": (str, "he_uniform"),
-        },
-        "net",
-    )
+    spec = _check_keys(section, "net")
     act = netcore.ACTIVATIONS.get(spec["activation"])
     if act is None:
         raise SchemaError(f"unknown activation {spec['activation']!r}")
@@ -270,7 +346,7 @@ def _net_from_config(section: dict, n: int, seed: int) -> netcore.NeuralNet:
     with _values_checked("net"):
         return netcore.build_mlp(
             n,
-            _int_list(spec["widths"], "net.widths"),
+            spec["widths"],
             act,
             out_activation=out_act,
             init=spec["init"],
@@ -279,23 +355,7 @@ def _net_from_config(section: dict, n: int, seed: int) -> netcore.NeuralNet:
 
 
 def _descent_config(section: dict, seed: int) -> descent.DescentConfig:
-    spec = _check_keys(
-        section,
-        {
-            "gamma": (float, _REQUIRED),
-            "steps": (int, _REQUIRED),
-            "overflow_b": (float, math.inf),
-            "weight_clamp_b": (float, math.inf),
-            "noise_kind": (str, "none"),
-            "noise_variance": (float, 0.0),
-            "noise_halfwidth": (float, 0.0),
-            "init_perturb_variance": (float, 0.0),
-            "quantization_bits": (list, []),
-            "coord_budget": (int, 0),
-            "coord_rule": (str, "topk"),
-        },
-        "descent",
-    )
+    spec = _check_keys(section, "descent")
     with _values_checked("descent"):
         noise = descent.NoiseSpec(
             spec["noise_kind"],
@@ -304,7 +364,7 @@ def _descent_config(section: dict, seed: int) -> descent.DescentConfig:
         )
         quant = None
         if spec["quantization_bits"]:
-            total, frac = _int_list(spec["quantization_bits"], "descent.quantization_bits")
+            total, frac = spec["quantization_bits"]  # any other length: ValueError
             quant = netcore.QuantizationSpec(total, frac)
         return descent.DescentConfig(
             gamma=spec["gamma"],
@@ -321,25 +381,13 @@ def _descent_config(section: dict, seed: int) -> descent.DescentConfig:
 
 
 def cmd_train(config: dict, ctx: RunContext) -> int:
-    spec = _check_keys(
-        config,
-        {
-            "n": (int, _REQUIRED),
-            "function_mask": (int, _REQUIRED),
-            "net": (dict, _REQUIRED),
-            "descent": (dict, _REQUIRED),
-            "algorithm": (str, "sgd"),
-            "loss": (str, "squared"),
-        },
-        "train",
-    )
+    spec = _check_keys(config, "train")
     if spec["algorithm"] not in ("sgd", "cd", "gd"):
         raise SchemaError(f"unknown algorithm {spec['algorithm']!r}")
     if spec["loss"] not in netcore.LOSSES:
         raise SchemaError(f"unknown loss {spec['loss']!r}")
     loss = netcore.LOSSES[spec["loss"]]
     n = spec["n"]
-    _at_least(n, 1, "train.n")
     with _values_checked("train"):
         f = funcdist.ParitySubset(n, spec["function_mask"])
     net = _net_from_config(spec["net"], n, seed=ctx.seed)
@@ -376,20 +424,7 @@ def cmd_train(config: dict, ctx: RunContext) -> int:
 
 
 def cmd_distinguish(config: dict, ctx: RunContext) -> int:
-    spec = _check_keys(
-        config,
-        {
-            "distribution": (dict, _REQUIRED),
-            "steps": (int, _REQUIRED),
-            "trials": (int, _REQUIRED),
-            "statistic": (str, "prediction_count"),
-            "machine": (str, "sgd_sla"),
-            "net": (dict, {}),
-            "descent": (dict, {}),
-            "cap_constant": (float, 1.0),
-        },
-        "distinguish",
-    )
+    spec = _check_keys(config, "distinguish")
     dist = _dist_from_config(spec["distribution"])
     n = dist.n
     if spec["machine"] == "constant":
@@ -438,16 +473,10 @@ def _pytorch_uniform_net(n: int, widths, seed: int,
     unit is U(+-1/sqrt(fan_in)), drawn in edge order."""
     net = netcore.build_mlp(n, [int(w) for w in widths], activation,
                             out_activation=netcore.SIGMOID, init="zeros")
-    rng = np.random.default_rng(seed)
-    w = net.weights.values.copy()
-    fan = {}
-    for u, v in net.graph.edges:
-        if u != net.graph.constant:
-            fan[v] = fan.get(v, 0) + 1
-    for i, (u, v) in enumerate(net.graph.edges):
-        bound = 1.0 / math.sqrt(fan[v])
-        w[i] = rng.uniform(-bound, bound)
-    return net.with_weights(w)
+    edges = np.array(net.graph.edges)
+    fan = np.bincount(edges[edges[:, 0] != net.graph.constant, 1])
+    bounds = 1.0 / np.sqrt(fan[edges[:, 1]])
+    return net.with_weights(np.random.default_rng(seed).uniform(-bounds, bounds))
 
 
 def run_gridparity(grid_k, widths, epochs, train_count, test_count,
@@ -504,28 +533,10 @@ def _epoch_blocks(imgs, ys, orders, epochs):
 
 
 def cmd_gridparity(config: dict, ctx: RunContext) -> int:
-    spec = _check_keys(
-        config,
-        {
-            "grid_k": (int, 13),
-            "widths": (list, [128, 128, 128]),
-            "epochs": (int, 80),
-            "train_count": (int, 1000),
-            "test_count": (int, 1000),
-            "gamma": (float, 0.1),
-            "loss": (str, "squared"),
-            "n_seeds": (int, 1),
-        },
-        "gridparity",
-    )
+    spec = _check_keys(config, "gridparity")
     if spec["loss"] not in netcore.LOSSES:
         raise SchemaError(f"unknown loss {spec['loss']!r}")
     loss = netcore.LOSSES[spec["loss"]]
-    _int_list(spec["widths"], "gridparity.widths", low=1)
-    for key in ("grid_k", "epochs", "train_count", "test_count", "n_seeds"):
-        _at_least(spec[key], 1, f"gridparity.{key}")
-    if not (math.isfinite(spec["gamma"]) and spec["gamma"] >= 0):
-        raise SchemaError(f"gridparity.gamma must be finite and >= 0, got {spec['gamma']}")
     seeds = [ctx.seed + i for i in range(spec["n_seeds"])]
     # every seed runs before any file is written, so a seed that diverges leaves none
     results = run_gridparity(spec["grid_k"], spec["widths"], spec["epochs"],
@@ -540,32 +551,19 @@ def cmd_gridparity(config: dict, ctx: RunContext) -> int:
 
 
 def cmd_phase(config: dict, ctx: RunContext) -> int:
-    spec = _check_keys(
-        config,
-        {
-            "n": (int, _REQUIRED),
-            "k_values": (list, _REQUIRED),
-            "train_steps": (int, 4000),
-            "gamma": (float, 0.05),
-            "eval_trials": (int, 4000),
-            "mlp_widths": (list, [64, 64]),
-            "max_units": (int, 4096),
-            "methods": (list, ["engineered", "generic_mlp"]),
-        },
-        "phase",
-    )
+    spec = _check_keys(config, "phase")
     if any(m not in ("engineered", "generic_mlp") for m in spec["methods"]):
         raise SchemaError(f"unknown phase methods in {spec['methods']}")
     if not (spec["k_values"] and spec["methods"]):
         raise SchemaError("phase.k_values and phase.methods must each be non-empty")
     n = spec["n"]
-    _at_least(n, 1, "phase.n")
-    _at_least(spec["train_steps"], 0, "phase.train_steps")
-    _at_least(spec["gamma"], 0, "phase.gamma")
-    _int_list(spec["mlp_widths"], "phase.mlp_widths", low=1)
-    _int_list(spec["k_values"], "phase.k_values", low=1, high=n)
+    if max(spec["k_values"]) > n:
+        raise SchemaError(f"bad value in phase.k_values: each must be <= n = {n}, "
+                          f"got {spec['k_values']}")
     # exhaustive evaluation covers n <= 12; beyond it accuracy is sampled
-    _at_least(spec["eval_trials"], 0 if n <= 12 else 1, "phase.eval_trials")
+    if n > 12 and spec["eval_trials"] < 1:
+        raise SchemaError(f"bad value in phase.eval_trials: must be >= 1 when n > 12, "
+                          f"got {spec['eval_trials']}")
     rows = [_phase_row(n, k, method, spec, ctx.seed) for k in spec["k_values"]
             for method in ("engineered", "generic_mlp") if method in spec["methods"]]
     _write_csv(
@@ -607,32 +605,10 @@ def _phase_row(n, k, method, spec, seed):
 
 
 def cmd_bounds(config: dict, ctx: RunContext) -> int:
-    spec = _check_keys(
-        config,
-        {
-            "gd_grid": (list, []),
-            "sgd_grid": (list, []),
-            "empirical": (dict, {}),
-        },
-        "bounds",
-    )
+    spec = _check_keys(config, "bounds")
     rows = []
     for entry in spec["gd_grid"]:
-        e = _check_keys(
-            entry,
-            {
-                "gamma": (float, _REQUIRED),
-                "overflow_b": (float, _REQUIRED),
-                "steps": (int, _REQUIRED),
-                "m": (int, _REQUIRED),
-                "n": (int, _REQUIRED),
-                "sigma2": (float, _REQUIRED),
-            },
-            "bounds.gd_grid[]",
-        )
-        if not e["sigma2"] > 0:
-            raise SchemaError(f"bound_gd needs sigma^2 > 0, got {e['sigma2']}: "
-                              "the noiseless algorithm has no accuracy cap")
+        e = _check_keys(entry, "bounds.gd_grid[]")
         with _values_checked("bounds.gd_grid[]"):
             bound = sla.bound_gd(e["gamma"], e["overflow_b"], e["steps"], e["m"], e["n"],
                                  e["sigma2"])
@@ -640,19 +616,7 @@ def cmd_bounds(config: dict, ctx: RunContext) -> int:
             ("gd", e["gamma"], e["overflow_b"], e["steps"], e["m"], e["n"], e["sigma2"], bound)
         )
     for entry in spec["sgd_grid"]:
-        e = _check_keys(
-            entry,
-            {
-                "gamma": (float, _REQUIRED),
-                "overflow_b": (float, _REQUIRED),
-                "steps": (int, _REQUIRED),
-                "m": (int, _REQUIRED),
-                "n": (int, _REQUIRED),
-                "p": (float, 0.0),
-                "c_const": (float, 1.0),
-            },
-            "bounds.sgd_grid[]",
-        )
+        e = _check_keys(entry, "bounds.sgd_grid[]")
         with _values_checked("bounds.sgd_grid[]"):
             bound = sla.bound_sgd(e["steps"], e["m"], e["overflow_b"], e["gamma"], e["n"],
                                   e["p"], e["c_const"])
@@ -671,23 +635,7 @@ def cmd_bounds(config: dict, ctx: RunContext) -> int:
 
 
 def _bounds_empirical(section: dict, seed: int) -> dict:
-    e = _check_keys(
-        section,
-        {
-            "n": (int, _REQUIRED),
-            "widths": (list, [16]),
-            "gamma": (float, 0.01),
-            "overflow_b": (float, 1.0),
-            "steps": (int, 500),
-            "sigma2": (float, _REQUIRED),
-            "n_parities": (int, 50),
-        },
-        "bounds.empirical",
-    )
-    if not e["sigma2"] > 0:
-        raise SchemaError(f"empirical noisy-GD run needs sigma^2 > 0, got {e['sigma2']}")
-    _int_list(e["widths"], "bounds.empirical.widths", low=1)
-    _at_least(e["n_parities"], 1, "bounds.empirical.n_parities")
+    e = _check_keys(section, "bounds.empirical")
     # the cap is taken before the runs, so arguments it refuses exit 2 up front
     with _values_checked("bounds.empirical"):
         net_edges = netcore.build_mlp(e["n"], e["widths"], netcore.SIGMOID).n_edges
@@ -727,17 +675,7 @@ def noisy_gd_parity_accuracies(n, widths, gamma, overflow_b, steps, sigma2,
 
 
 def cmd_gen_aer(config: dict, ctx: RunContext) -> int:
-    spec = _check_keys(
-        config,
-        {
-            "n": (int, _REQUIRED),
-            "m": (float, _REQUIRED),
-            "r": (int, _REQUIRED),
-            "count": (int, 1),
-        },
-        "gen-aer",
-    )
-    _at_least(spec["count"], 1, "gen-aer.count")
+    spec = _check_keys(config, "gen-aer")
     rows = []
     for i in range(spec["count"]):
         with _values_checked("gen-aer"):
@@ -796,16 +734,7 @@ def main(argv=None) -> int:
     try:
         if not isinstance(full, dict):
             raise SchemaError("config must be a JSON object")
-        top = _check_keys(
-            full,
-            {
-                "experiment": (str, _REQUIRED),
-                "seed": (int, 0),
-                "parameters": (dict, {}),
-                "output_dir": (str, "lab_out"),
-            },
-            "config",
-        )
+        top = _check_keys(full, "config")
         if top["experiment"] != args.command:
             raise SchemaError(
                 f"config is for experiment {top['experiment']!r}, not {args.command!r}"

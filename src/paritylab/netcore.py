@@ -44,6 +44,10 @@ class BudgetExceeded(Exception):
     """Requested construction exceeds the configured size budget."""
 
 
+class Diverged(Exception):
+    """A run's weights, or an evaluation's pre-activations, are not finite."""
+
+
 # ---------------------------------------------------------------------------
 # activations and losses
 # ---------------------------------------------------------------------------
@@ -367,9 +371,6 @@ class WeightVector(Mapping):
     def __len__(self) -> int:
         return self.graph.n_edges
 
-    def as_dict(self) -> dict:
-        return {e: float(w) for e, w in zip(self.graph.edges, self.values)}
-
 
 @dataclass(frozen=True)
 class QuantizationSpec:
@@ -388,21 +389,12 @@ class QuantizationSpec:
     def step(self) -> float:
         return 2.0 ** (-self.fractional_bits)
 
-    @property
-    def max_value(self) -> float:
-        return (2 ** (self.total_bits - 1) - 1) * self.step
-
     def quantize(self, values):
         """Round to the nearest lattice point (ties to even), saturating."""
         values = np.asarray(values, dtype=np.float64)
         ticks = np.rint(values / self.step)
         limit = float(2 ** (self.total_bits - 1) - 1)
         return np.clip(ticks, -limit, limit) * self.step
-
-
-def quantize(weights: WeightVector, spec: QuantizationSpec) -> WeightVector:
-    """Quantize every entry of a weight vector onto the spec's lattice."""
-    return WeightVector(weights.graph, spec.quantize(weights.values))
 
 
 # ---------------------------------------------------------------------------
@@ -689,9 +681,14 @@ class NeuralNet:
         return self._outputs(xs)
 
     def _outputs(self, a):
-        """Output of one input (in,) or a batch (rows, in)."""
+        """Output of one input (in,) or a batch (rows, in).  A non-finite
+        pre-activation raises Diverged: its output would be a saturated or
+        NaN value that no accuracy or loss should be read from."""
         plan = self._plan()
-        _, _, fs = _forward(plan, plan.views(self.weights.values), a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, zs, fs = _forward(plan, plan.views(self.weights.values), a)
+        if not all(np.isfinite(z).all() for z in zs):
+            raise Diverged("evaluation met a non-finite pre-activation")
         return fs[-1][..., 0]
 
     # -- gradients ----------------------------------------------------------
@@ -710,10 +707,6 @@ class NeuralNet:
         """Exact loss gradient, returned as (grad over edges, output value)."""
         gradient = self._gradient_into(self.weights.values, np.empty(self.n_edges), loss)
         return gradient(self._check_x(x), y)
-
-    def gradient(self, x, y, loss: LossKind = SQUARED_ERROR) -> WeightVector:
-        grad, _ = self.gradient_array(x, y, loss)
-        return WeightVector(self.graph, grad)
 
     def _check_batch(self, xs, ys):
         xs = np.asarray(xs, dtype=np.float64)
@@ -751,23 +744,6 @@ class NeuralNet:
         xs, ys = self._check_batch(xs, ys)
         out = np.empty((len(ys), self.n_edges))
         return self._gradient_into(self.weights.values, out, loss)(xs, ys)
-
-    def gradient_stack(self, weights, xs, ys, loss: LossKind = SQUARED_ERROR):
-        """Gradients of K nets of this graph at once, one sample each.
-
-        ``weights`` is (K, n_edges), ``xs`` (K, n) and ``ys`` (K,).  Returns
-        grads (K, n_edges) and outputs (K,), where row k equals
-        ``self.with_weights(weights[k]).gradient_array(xs[k], ys[k], loss)``
-        bit for bit, at any K and any position in the stack.
-        """
-        weights = np.asarray(weights, dtype=np.float64)
-        xs, ys = self._check_batch(xs, ys)
-        if weights.shape != (xs.shape[0], self.n_edges):
-            raise DimensionMismatch(
-                f"weight stack has shape {weights.shape}, expected "
-                f"({xs.shape[0]}, {self.n_edges})"
-            )
-        return self._gradient_into(weights, np.empty(weights.shape), loss)(xs, ys)
 
     def population_gradient(self, xs, ys, probs, loss: LossKind = SQUARED_ERROR,
                             overflow_b: float = math.inf):

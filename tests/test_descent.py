@@ -23,8 +23,14 @@ def one_edge_identity(w=1.0):
                         nc.WeightVector.from_dict(g, {(0, 2): 0.0, (1, 2): w}))
 
 
+def uniform_population(xs, ys):
+    """Uniform mass on the rows of xs, labeled ys."""
+    return dc.Population(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float),
+                         np.full(len(ys), 1.0 / len(ys)))
+
+
 def singleton_population(x=1.0, y=0.0):
-    return dc.Population.from_samples([(np.array([x]), y)])
+    return uniform_population([[x]], [y])
 
 
 class TestClampPsi:
@@ -65,7 +71,7 @@ class TestGdStep:
 
     def test_empty_population(self):
         with pytest.raises(dc.EmptyPopulation):
-            dc.Population.from_samples([])
+            dc.Population(np.zeros((0, 1)), np.zeros(0), np.zeros(0))
 
     def test_grid_budget_refused(self):
         with pytest.raises(nc.BudgetExceeded):
@@ -78,7 +84,7 @@ class TestGdStep:
             net = make_random_dag_net(rng, n_inputs=3, n_interior=5)
             xs = 1.0 - 2.0 * rng.integers(0, 2, size=(6, 3)).astype(float)
             ys = 1.0 - 2.0 * rng.integers(0, 2, size=6).astype(float)
-            population = dc.Population.from_samples(list(zip(xs, ys)))
+            population = uniform_population(xs, ys)
             pop_net = dc.gd_step(net, population, nc.SQUARED_ERROR, gamma=0.3)
             updates = np.zeros(net.n_edges)
             for x, y in zip(xs, ys):
@@ -398,7 +404,7 @@ class TestNoiseStreams:
     def test_overflow_invariant(self):
         # contributions entering the update are clamped even for huge gradients
         net = one_edge_identity(w=100.0)
-        population = dc.Population.from_samples([(np.array([50.0]), 0.0)])
+        population = singleton_population(x=50.0, y=0.0)
         expected, overflow = net.population_gradient(population.xs, population.ys,
                                                      population.probs, nc.SQUARED_ERROR, 1.0)
         assert overflow

@@ -637,6 +637,7 @@ class TestCommandContracts:
         ("phase", {"n": 6, "k_values": [1], "gamma": -1.0}),
         ("phase", {"n": 6, "k_values": [1], "train_steps": -1}),
         ("phase", {"n": 6, "k_values": [1], "mlp_widths": [10 ** 400]}),
+        ("bounds", {"gd_grid": [3]}),
     ], ids=["xpred_outer1", "xpred_inner1", "empirical_steps-1", "empirical_gamma0",
             "empirical_sigma2_nan", "gd_steps-10", "gd_sigma2_nan", "gd_gamma_nan",
             "sgd_p-0.5", "sgd_c-100", "sgd_c_nan", "gd_gamma_inf_steps0",
@@ -644,7 +645,7 @@ class TestCommandContracts:
             "train_gd_budget2", "train_sgd_budget2", "train_n0", "train_overflow_nan",
             "train_gamma_1e400", "train_gamma_nan", "train_noise_variance_nan",
             "train_noise_halfwidth_nan", "train_perturb_nan", "gd_steps_1e400", "sgd_m_1e400", "phase_n13_trials0",
-            "phase_trials-1", "phase_gamma-1", "phase_steps-1", "phase_width_1e400"])
+            "phase_trials-1", "phase_gamma-1", "phase_steps-1", "phase_width_1e400", "gd_row_not_dict"])
     def test_invalid_config_exits_2(self, tmp_path, command, parameters):
         code, stderr, manifest = _run_lab(command, parameters, tmp_path)
         assert code == 2
@@ -888,3 +889,83 @@ class TestGridparityPinned:
             digest.update((tmp_path / "out" / name).read_bytes())
         assert digest.hexdigest() == (
             "481e48dc9c125e346ead2855b4bbbf41f22fa3f98ff9aa9d1cc42f77d15fe14c")
+
+
+class TestDivergedEvaluation:
+    def test_overflowing_gridparity_exits_2_without_csv(self, tmp_path, capsys):
+        # squared loss keeps the weights finite near 1e308, so only evaluation overflows
+        cfg = write_config(tmp_path, {
+            "experiment": "gridparity", "output_dir": str(tmp_path / "out"),
+            "parameters": {**_GRIDPARITY_BASE, "gamma": 1e308, "loss": "squared"},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert labcli.main(["gridparity", "--config", str(cfg), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "diverged: evaluation met a non-finite pre-activation\n"
+        assert _gridparity_csvs(tmp_path) == []
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "invalid"
+
+
+# per key table with bounds: the command, a config that runs, and the path of
+# the table's section in that config's parameters
+_TABLE_SITES = {
+    "xpred": ("xpred", {"distribution": _MIXTURE_16}, ()),
+    "net": ("train", {**_TRAIN_BASE, "descent": {"gamma": 0.1, "steps": 5}}, ("net",)),
+    "train": ("train", {**_TRAIN_BASE, "descent": {"gamma": 0.1, "steps": 5}}, ()),
+    "gridparity": ("gridparity", _GRIDPARITY_BASE, ()),
+    "phase": ("phase", {"n": 6, "k_values": [1], "train_steps": 5}, ()),
+    "bounds.empirical": ("bounds", {"empirical": _EMPIRICAL}, ("empirical",)),
+    "gen-aer": ("gen-aer", {"n": 20, "m": 3.0, "r": 3}, ()),
+}
+
+
+def _key_tables():
+    yield from labcli.KEY_TABLES.items()
+    for _, keys in labcli.DISTRIBUTIONS.values():
+        yield "distribution", keys
+
+
+def _out_of_range_cases():
+    """(where, key, value) for every bounded key: just below its low bound,
+    just above its high bound where it has one, and NaN for a float."""
+    for where, table in _key_tables():
+        for key, (typ, _, *bounds) in table.items():
+            if not bounds:
+                continue
+            elem = typ[0] if isinstance(typ, list) else typ
+            low, high = (*bounds, None)[:2]
+            if elem is float:
+                values = [math.nextafter(low, -math.inf), math.nan]
+                values += [] if high is None else [math.nextafter(high, math.inf)]
+            else:
+                values = [low - 1] + ([] if high is None else [high + 1])
+            for value in values:
+                yield where, key, [value] if isinstance(typ, list) else value
+
+
+class TestKeyTableBounds:
+    @pytest.mark.parametrize("where, key, value", list(_out_of_range_cases()),
+                             ids=lambda v: repr(v) if not isinstance(v, str) else v)
+    def test_out_of_range_value_exits_2(self, tmp_path, where, key, value):
+        assert where in _TABLE_SITES, f"no config site for the bounded table {where}"
+        command, parameters, path = _TABLE_SITES[where]
+        parameters = json.loads(json.dumps(parameters))
+        section = parameters
+        for step in path:
+            section = section[step]
+        section[key] = value
+        code, stderr, manifest = _run_lab(command, parameters, tmp_path)
+        assert code == 2
+        assert len(stderr.strip().splitlines()) == 1 and f"{where}.{key}" in stderr
+        assert stderr.startswith(f"schema error: bad value in {where}.{key}")
+        assert manifest["status"] == "invalid"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+
+    def test_every_key_is_named_in_the_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cli = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        missing = sorted({f"{where}.{key}" for where, table in _key_tables()
+                          for key in table if f"`{key}`" not in cli})
+        assert missing == []

@@ -338,7 +338,7 @@ class TestAccuracyEval:
         net = nc.build_monomial_net(6, 2)
         pairs = nc.monomial_readout_edges(net)
         subset, edge = pairs[3]
-        w = net.weights.as_dict()
+        w = dict(net.weights)
         w[edge] = 1.0
         forced = net.with_weights(nc.WeightVector.from_dict(net.graph, w))
         f = fd.MonomialSubset(6, fd.subset_to_mask(subset), 2)
