@@ -1,12 +1,13 @@
 """Descent algorithms: population GD, single-sample SGD, coordinate descent.
 
-All variants share one config: learning rate, per-sample derivative overflow
-clamp (population GD only), weight projection range, per-edge additive noise,
-initial-weight perturbation, optional fixed-point weight storage, and a
-per-step coordinate budget.  Every run is deterministic given the config seed
-and the sample source's seed; per-step noise and coordinate choices come from
-independent child streams so that algorithm variants can be compared
-step-for-step.
+All variants share one config and one update rule (_apply_update, through
+_step): learning rate, derivative overflow clamp Psi_B (on each sample of a
+population, or on a single-sample gradient), weight projection range,
+per-edge additive noise, initial-weight perturbation, optional fixed-point
+weight storage, and a per-step coordinate budget.  Every run is deterministic
+given the config seed and the sample source's seed; per-step noise and
+coordinate choices come from independent child streams so that algorithm
+variants can be compared step-for-step.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .netcore import (
     QuantizationSpec,
     SQUARED_ERROR,
     WeightVector,
-    clamp_psi,  # noqa: F401  (re-exported: Psi_B of the population update)
+    clamp_psi,
     decision_cut,
 )
 
@@ -92,9 +93,10 @@ class NoiseSpec:
 class DescentConfig:
     """Shared knobs for every descent variant.
 
-    ``overflow_b`` clamps per-sample derivative contributions in population GD;
-    ``weight_clamp_b`` projects stored weights into [-B, B]; ``coord_budget``
-    None means plain (S)GD, an integer enables coordinate descent.
+    ``overflow_b`` clamps derivatives into [-B, B]: each sample's contribution
+    in population GD, the sample gradient in SGD and CD.  ``weight_clamp_b``
+    projects stored weights into [-B, B]; ``coord_budget`` None means plain
+    (S)GD, an integer enables coordinate descent.
     """
 
     gamma: float
@@ -213,9 +215,13 @@ def _stream(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _noise(config: DescentConfig, seeds, t: int, size: int) -> np.ndarray:
-    """Step t's noise (len(seeds), size), row k from the (seeds[k], t) stream."""
-    return np.array([config.noise.draw(_stream(seed, _STREAM_NOISE, t), size) for seed in seeds])
+def _noise(config: DescentConfig, seeds, t: int, shape) -> Optional[np.ndarray]:
+    """Step t's noise for weights of ``shape``, (n_edges,) or (K, n_edges),
+    row k from the (seeds[k], t) stream; None when the config has no noise."""
+    if not config.noise.is_active:
+        return None
+    return np.array([config.noise.draw(_stream(seed, _STREAM_NOISE, t), shape[-1])
+                     for seed in seeds]).reshape(shape)
 
 
 def prepare_initial_weights(net: NeuralNet, config: DescentConfig) -> np.ndarray:
@@ -306,13 +312,9 @@ def gd_run(
     log = RunLog(algorithm="gd")
     edges = net.graph.edges
     for t in range(1, config.steps + 1):
-        delta = None
-        if config.noise.is_active:
-            delta = _noise(config, (config.seed,), t, w.size)[0]
         old = w.copy() if record_steps else None
         grad, overflow_hit = gradient()
-        update = _apply_update(w, grad, config.gamma, delta, config.weight_clamp_b,
-                               config.quantization)
+        update = _step(w, grad, config, (config.seed,), t)
         if record_steps:
             log.steps.append(_step_report(t, edges, w, np.nonzero(w != old)[0], update,
                                           overflow_hit))
@@ -332,39 +334,53 @@ def sgd_step(
     weight_clamp_b: float = math.inf,
     delta=None,
     quantization: Optional[QuantizationSpec] = None,
+    overflow_b: float = math.inf,
 ) -> NeuralNet:
-    """One single-sample step: w' = w - gamma * dL/dw + delta, projected into
-    [-B, B], then quantized for storage if configured.  This is sgd_run's
-    step, run on a copy of the net's weights."""
+    """One single-sample step: w' = w - gamma * Psi_B(dL/dw) + delta,
+    projected into [-B, B], then quantized for storage if configured.  This
+    is sgd_run's step, run on a copy of the net's weights."""
     x, y = sample
     grad, _ = net.gradient_array(x, y, loss)
     w = net.weights.values.copy()
-    _apply_update(w, grad, gamma, delta, weight_clamp_b, quantization)
+    _apply_update(w, clamp_psi(grad, overflow_b), gamma, delta, weight_clamp_b, quantization)
     return net.with_weights(w)
 
 
 def _apply_update(w, grad, gamma, delta, weight_clamp_b, quantization, sel=None):
-    """The update rule of gd_step, gd_run, sgd_step and the sample-descent
-    loop, written into the weight buffer w (one run's, or a stack's rows):
-    w - gamma * grad + delta, projected into [-B, B] and quantized as
-    configured; only on the edge indices ``sel`` when given.  grad is scaled
-    in place into gamma * grad, which is returned (at sel)."""
-    update = np.multiply(grad, gamma, out=grad)
+    """The one update rule, written into the weight buffer w (one run's, or
+    a stack's rows): w - gamma * grad + delta, projected into [-B, B] and
+    quantized as configured.  Without ``sel`` every edge is written and grad
+    is scaled in place into gamma * grad, which is returned.  ``sel``, a
+    (K, k) array of edge indices into a stack w (K, n_edges), writes only
+    those entries of each row; gamma * grad is computed and returned only
+    there, and grad is not written."""
     if delta is not None:
         delta = np.asarray(delta.values if isinstance(delta, WeightVector) else delta,
                            dtype=np.float64)
     if sel is not None:
-        touched = w[..., sel] - update[..., sel]
+        rows = np.arange(len(w))[:, None]
+        update = gamma * grad[rows, sel]
+        touched = w[rows, sel] - update
         if delta is not None:
-            touched += delta[..., sel]
-        w[..., sel] = _store(touched, weight_clamp_b, quantization)
-        return update[..., sel]
+            touched += delta[rows, sel]
+        w[rows, sel] = _store(touched, weight_clamp_b, quantization)
+        return update
+    update = np.multiply(grad, gamma, out=grad)
     w -= update
     if delta is not None:
         w += delta
     if math.isfinite(weight_clamp_b) or quantization is not None:
         w[...] = _store(w, weight_clamp_b, quantization)
     return update
+
+
+def _step(w, grad, config: DescentConfig, seeds, t: int, sel=None):
+    """Step t of the runs in w, one run's weights (seeds its one seed) or a
+    stack's rows (seeds[k] row k's): _apply_update with the config's gamma,
+    projection and quantization and step t's noise, on the edges ``sel``
+    (all when None).  Returns gamma * grad (at sel)."""
+    return _apply_update(w, grad, config.gamma, _noise(config, seeds, t, w.shape),
+                         config.weight_clamp_b, config.quantization, sel)
 
 
 _SAMPLE_CHUNK = 1024  # the most samples a single run takes at once: flat memory
@@ -443,35 +459,17 @@ def _select_coords(grads, budget, rule, seeds, t):
     return np.sort(order[:, :budget], axis=1)
 
 
-def budgeted_step(w, grads, config: DescentConfig, seeds, t):
-    """Step t of coordinate descent for a stack of K runs that share
-    ``config`` but for its seed: row k of w and grads (K, n_edges) is run k's
-    weights and sample gradient, and seeds[k] its seed.
-
-    Each row updates only its ``coord_budget`` coordinates (top-k by
-    |gradient|, or a random k from its (seed, t) stream) to w - gamma * grad,
-    plus the noise of its (seed, t) stream, projected into [-B, B] and
-    quantized.  Returns the coordinates (K, k), their new values (K, k) and
-    gamma * grad at them (K, k); w itself is not written.
-    """
-    sel = _select_coords(grads, config.coord_budget, config.coord_rule, seeds, t)
-    rows = np.arange(w.shape[0])[:, None]
-    update = config.gamma * grads[rows, sel]
-    touched = w[rows, sel] - update
-    if config.noise.is_active:
-        touched += _noise(config, seeds, t, w.shape[1])[rows, sel]
-    return sel, _store(touched, config.weight_clamp_b, config.quantization), update
-
-
 def _sample_descent(net, w, blocks, loss, config, seeds, trainable=None, on_step=None):
     """The one sample-descent loop.  w (C-contiguous) is one run's weights
     (n_edges,) or a stack (K, n_edges) of runs that share ``config`` but for
     their seeds, row k's seeds[k]; a one-row stack runs at lead shape (),
     where its gradient costs less.  ``blocks`` yields samples (xs, ys) of
-    shapes (steps, [K,] n) and (steps, [K]).  Each step updates w in place:
-    budgeted_step when config has a coord_budget, else _apply_update on the
-    edges ``trainable`` (all when None) with each row's (seed, t) noise.  A
-    generator: after each block it yields the block's accuracy bits.
+    shapes (steps, [K,] n) and (steps, [K]).  Each step takes the sample
+    gradient, clips it into [-B, B] when overflow_b is finite, and runs _step
+    in place on the edges it writes: each row's coord_budget coordinates
+    (_select_coords, which reads the clipped gradient) when the config has a
+    budget, else the edges ``trainable`` (all when None).  A generator: after
+    each block it yields the block's accuracy bits.
     on_step(t, acc, sel, changed, update), when given, runs after each step:
     sel (K, k) the edges each row wrote, changed whether each one's weight
     changed, update gamma * grad there."""
@@ -484,28 +482,24 @@ def _sample_descent(net, w, blocks, loss, config, seeds, trainable=None, on_step
     # the update reads every lead shape as rows: views of w and grad
     w_rows, grad_rows = w.reshape(-1, w.shape[-1]), grad.reshape(-1, w.shape[-1])
     rows = np.arange(len(w_rows))[:, None]
-    cols = None if trainable is None else np.asarray(trainable, dtype=np.intp)
-    written = np.tile(np.arange(w.shape[-1]) if cols is None else cols, (len(w_rows), 1))
     record, t = on_step is not None, 0
+    # without a budget every step writes the same edges; a recorded step
+    # names them, so it writes through their indices
+    edges = np.arange(w.shape[-1]) if trainable is None else np.asarray(trainable, dtype=np.intp)
+    fixed = None if trainable is None and not record else np.tile(edges, (len(w_rows), 1))
     for xs, ys in blocks:
         acc = np.empty(ys.shape, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):  # callers raise Diverged
             for i in range(len(ys)):
                 t += 1
                 _, output = gradient(xs[i], ys[i])
+                if math.isfinite(config.overflow_b):
+                    np.clip(grad, -config.overflow_b, config.overflow_b, out=grad)
                 acc[i] = _acc_bit(net, output, ys[i], loss, cut)
-                if config.coord_budget is not None:
-                    sel, new, update = budgeted_step(w_rows, grad_rows, config, seeds, t)
-                    changed = new != w_rows[rows, sel] if record else None
-                    w_rows[rows, sel] = new
-                else:
-                    sel, delta = written, None
-                    before = w_rows[rows, sel] if record else None
-                    if config.noise.is_active:
-                        delta = _noise(config, seeds, t, w.shape[-1])
-                    update = _apply_update(w_rows, grad_rows, config.gamma, delta,
-                                           config.weight_clamp_b, config.quantization, cols)
-                    changed = w_rows[rows, sel] != before if record else None
+                sel = fixed if config.coord_budget is None else _select_coords(
+                    grad_rows, config.coord_budget, config.coord_rule, seeds, t)
+                before = w_rows[rows, sel] if record else None
+                update = _step(w_rows, grad_rows, config, seeds, t, sel)
                 if record:
-                    on_step(t, acc[i], sel, changed, update)
+                    on_step(t, acc[i], sel, w_rows[rows, sel] != before, update)
         yield acc

@@ -427,13 +427,7 @@ def cmd_distinguish(config: dict, ctx: RunContext) -> int:
     spec = _check_keys(config, "distinguish")
     dist = _dist_from_config(spec["distribution"])
     n = dist.n
-    if spec["machine"] == "constant":
-        machine = sla.constant_sla()
-    elif spec["machine"] == "gf2_solver":
-        machine = sla.gf2_solver_sla(n)
-    elif spec["machine"] == "sgd_sla":
-        if not spec["net"] or not spec["descent"]:
-            raise SchemaError("sgd_sla machine needs net and descent sections")
+    if spec["machine"] == "sgd_sla":
         base_net = _net_from_config(spec["net"], n, seed=ctx.seed)
         descent_section = dict(spec["descent"])
 
@@ -441,10 +435,18 @@ def cmd_distinguish(config: dict, ctx: RunContext) -> int:
             cfg = _descent_config(descent_section, seed=trial_seed)
             return sla.sgd_as_sla(base_net, netcore.SQUARED_ERROR, cfg)
 
-        with _values_checked("descent"):
-            machine(ctx.seed)  # an unbounded alphabet fails here, before any trace
-    else:
+        with _values_checked("descent"):  # an unbounded alphabet fails here, before any trace
+            steps = machine(ctx.seed).budgeted_sgd.config.steps
+        if steps != spec["steps"]:
+            raise SchemaError(f"bad value in distinguish.descent.steps: the traces run "
+                              f"distinguish.steps = {spec['steps']}, got {steps}")
+    elif spec["machine"] not in ("constant", "gf2_solver"):
         raise SchemaError(f"unknown machine {spec['machine']!r}")
+    elif spec["net"] or spec["descent"]:
+        raise SchemaError(f"machine {spec['machine']!r} trains no net: "
+                          "distinguish.net and distinguish.descent must be empty")
+    else:
+        machine = sla.constant_sla() if spec["machine"] == "constant" else sla.gf2_solver_sla(n)
     if crosspred.pred_closed_form(dist, funcdist.UniformInputs(n)) is None:
         raise SchemaError(
             "the cap needs a closed-form cross-predictability: distribution.kind must be "

@@ -168,7 +168,7 @@ def run_traces(machines: Sequence[SlaStateMachine], sources: Sequence[SampleSour
 
     Machines made by sgd_as_sla from one base net and one loss, with configs
     that differ only in seed, advance in lockstep as one (K, n_edges) weight
-    stack: one stacked gradient and one budgeted step per sample step instead
+    stack: one stacked gradient and one step per sample step instead
     of K.  Each trace is still a function of its own samples only, so every
     symbol is run_trace's.  Every other machine runs through run_trace, and
     so does every machine when two entries share a source object (run_trace
@@ -251,10 +251,10 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
 
     ``replay`` is the definition of the state a history leads to, and
     ``update`` is the definition of a step: it replays its history from the
-    initial weights, takes the sample gradient there and runs one
-    budgeted_step.  It keeps nothing between calls.  run_trace and run_traces
-    never call it; they run these machines as lockstep stacks, whose symbols
-    are update's.
+    initial weights, takes the sample gradient there, clamps it into
+    [-B, B], picks its coordinates and runs descent's one step on them.  It
+    keeps nothing between calls.  run_trace and run_traces never call it;
+    they run these machines as lockstep stacks, whose symbols are update's.
     """
     if config.coord_budget is None:
         raise UnboundedAlphabet("coordinate budget required for a finite alphabet")
@@ -279,12 +279,15 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
     def update(z, history):
         x, y = z
         now = replay(history)
-        w = now.weights.values
         grad, output = now.gradient_array(x, y, loss)
-        sel, touched, _ = _descent.budgeted_step(w[None], grad[None], config, (config.seed,),
-                                                 len(history) + 1)
-        changed = tuple((int(i), float(v)) for i, v in zip(sel[0], touched[0]) if v != w[i])
-        return (changed, bool(_descent._acc_bit(net, output, y, loss)))
+        grad = _descent.clamp_psi(grad, config.overflow_b)[None]
+        w, t, seeds = now.weights.values[None].copy(), len(history) + 1, (config.seed,)
+        sel = _descent._select_coords(grad, config.coord_budget, config.coord_rule, seeds, t)
+        before = w[0, sel[0]]
+        _descent._step(w, grad, config, seeds, t, sel)
+        changed = w[0, sel[0]] != before
+        return (tuple(zip(sel[0][changed].tolist(), w[0, sel[0]][changed].tolist())),
+                bool(_descent._acc_bit(net, output, y, loss)))
 
     return SlaStateMachine(
         alphabet_size=alphabet,

@@ -500,13 +500,59 @@ class TestBudgetedStep:
         w = cfg.quantization.quantize(rng.uniform(-1, 1, size=(5, 12)))
         grads = rng.normal(size=(5, 12))
         seeds = [11, 12, 13, 14, 15]
-        sel, new, update = dc.budgeted_step(w, grads, cfg, seeds, 4)
-        assert sel.shape == new.shape == update.shape == (5, 2)
+
+        def step(w, grads, seeds):
+            """Step 4's coordinates, new weights and gamma * grad there."""
+            w = w.copy()
+            sel = dc._select_coords(grads, cfg.coord_budget, cfg.coord_rule, seeds, 4)
+            return sel, w, dc._step(w, grads, cfg, seeds, 4, sel)
+        sel, new, update = step(w, grads, seeds)
+        assert sel.shape == update.shape == (5, 2)
         for k in range(5):
-            one = dc.budgeted_step(w[k:k + 1], grads[k:k + 1], cfg, seeds[k:k + 1], 4)
+            one = step(w[k:k + 1], grads[k:k + 1], seeds[k:k + 1])
             assert [a.tobytes() for a in one] == [a[k:k + 1].tobytes()
                                                   for a in (sel, new, update)]
-            assert np.all(np.abs(new[k]) <= 0.75)
+            assert np.all(np.abs(new[k, sel[k]]) <= 0.75)
+
+
+_SPECIAL = [0.0, -0.0, 0.25, -0.5, 1.0, -1.5, 3.0, 1e-300, math.nan]
+
+
+class TestApplyUpdate:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 3),
+        n_edges=st.integers(1, 6),
+        gamma=st.sampled_from([0.0, 0.3, 2.0]),
+        noisy=st.booleans(),
+        clamp=st.sampled_from([math.inf, 0.75]),
+        quantization=st.sampled_from([None, nc.QuantizationSpec(8, 4)]),
+        data=st.data(),
+    )
+    def test_selected_edges_match_the_whole_update(self, rows, n_edges, gamma, noisy, clamp,
+                                                   quantization, data):
+        """With a per-row ``sel`` the update writes, on those edges, the
+        bytes the whole-vector update writes there, returns gamma * grad
+        there, and leaves every other edge and grad untouched."""
+        def stack():
+            return np.array(data.draw(st.lists(st.sampled_from(_SPECIAL),
+                                               min_size=rows * n_edges,
+                                               max_size=rows * n_edges))).reshape(rows, n_edges)
+        w, grad = stack(), stack()
+        delta = stack() if noisy else None
+        k = data.draw(st.integers(1, n_edges))
+        sel = np.array([data.draw(st.permutations(range(n_edges)))[:k] for _ in range(rows)])
+        whole, whole_grad = w.copy(), grad.copy()
+        whole_update = dc._apply_update(whole, whole_grad, gamma, delta, clamp, quantization)
+        part, part_grad = w.copy(), grad.copy()
+        update = dc._apply_update(part, part_grad, gamma, delta, clamp, quantization, sel)
+        at = np.arange(rows)[:, None], sel
+        assert part[at].tobytes() == whole[at].tobytes()
+        assert update.tobytes() == whole_update[at].tobytes()
+        untouched = np.ones(w.shape, dtype=bool)
+        untouched[at] = False
+        assert part[untouched].tobytes() == w[untouched].tobytes()
+        assert part_grad.tobytes() == grad.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -802,20 +848,20 @@ class TestOwnedWeightBuffer:
         assert log_a.acc_bits == log_b.acc_bits
         assert not np.shares_memory(a.weights.values, b.weights.values)
 
+    @pytest.mark.parametrize("overflow_b", [math.inf, 0.01])
     @pytest.mark.parametrize("case", list(_PINNED_CASES))
-    def test_sgd_step_is_step_one_of_sgd_run(self, case):
+    def test_sgd_step_is_step_one_of_sgd_run(self, case, overflow_b):
         kind, loss, knobs = _PINNED_CASES[case]
         net = _pinned_net(kind)
-        cfg = dc.DescentConfig(gamma=0.3, steps=1, seed=6, **knobs)
+        cfg = dc.DescentConfig(gamma=0.3, steps=1, seed=6, overflow_b=overflow_b, **knobs)
         src = fd.SampleSource.planted(fd.ParitySubset(6, 0b100101), fd.UniformInputs(6), seed=8)
         run, _ = dc.sgd_run(net, src, loss, cfg)
         sample = fd.SampleSource.planted(fd.ParitySubset(6, 0b100101), fd.UniformInputs(6),
                                          seed=8).next_sample()
-        delta = None
-        if cfg.noise.is_active:
-            delta = cfg.noise.draw(dc._stream(cfg.seed, dc._STREAM_NOISE, 1), net.n_edges)
+        delta = dc._noise(cfg, (cfg.seed,), 1, (net.n_edges,))
         step = dc.sgd_step(net.with_weights(dc.prepare_initial_weights(net, cfg)), sample,
-                           loss, cfg.gamma, cfg.weight_clamp_b, delta, cfg.quantization)
+                           loss, cfg.gamma, cfg.weight_clamp_b, delta, cfg.quantization,
+                           overflow_b=cfg.overflow_b)
         assert step.weights.values.tobytes() == run.weights.values.tobytes()
 
     @pytest.mark.parametrize("kind, loss", [

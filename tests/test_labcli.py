@@ -16,6 +16,14 @@ from paritylab import netcore
 from _util import brute_force_girth
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _run_in_a_temporary_directory(tmp_path_factory):
+    """A config with no output_dir writes to ./lab_out: keep it out of the checkout."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("cwd"))
+        yield
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -407,8 +415,14 @@ class TestDistinguishContract:
         {"cap_constant": math.inf},
         {"cap_constant": math.nan},
         {"distribution": {"kind": "monomial_k", "n": 0, "k": 0}},
+        {"machine": "sgd_sla", "net": {"widths": [2]},
+         "descent": {"gamma": 0.25, "steps": 12, "coord_budget": 1, "quantization_bits": [8, 4]}},
+        {"machine": "gf2_solver", **_SGD_SECTIONS},
+        {"machine": "gf2_solver", "net": {"widths": [2]}},
+        {"machine": "constant", "descent": {"gamma": 0.25, "steps": 5}},
     ], ids=["steps0", "trials19", "statistic", "no_closed_form", "unbounded_alphabet",
-            "negative_cap", "infinite_cap", "nan_cap", "monomial_n0"])
+            "negative_cap", "infinite_cap", "nan_cap", "monomial_n0", "sgd_descent_steps",
+            "gf2_net_descent", "gf2_net", "constant_descent"])
     def test_invalid_config_exits_2(self, tmp_path, change):
         code, stderr, manifest = _run_lab("distinguish", {**_DISTINGUISH_BASE, **change},
                                           tmp_path)
@@ -712,6 +726,24 @@ class TestTrainCommand:
             },
         })
         assert labcli.main(["train", "--config", str(cfg)]) == 0
+
+
+    @pytest.mark.parametrize("algorithm, budget", [("sgd", 0), ("cd", 3)])
+    def test_overflow_b_clamps_the_sample_gradient(self, tmp_path, algorithm, budget):
+        """A B that fires changes the trained net; the default B is infinite."""
+        nets = []
+        for name, clamp in (("unclamped", {}), ("clamped", {"overflow_b": 1e-9})):
+            cfg = write_config(tmp_path, {
+                "experiment": "train", "seed": 2, "output_dir": str(tmp_path / name),
+                "parameters": {
+                    "n": 5, "function_mask": 3, "algorithm": algorithm,
+                    "net": {"widths": [6], "activation": "tanh"},
+                    "descent": {"gamma": 0.1, "steps": 50, "coord_budget": budget, **clamp},
+                },
+            }, name=f"{name}.json")
+            assert labcli.main(["train", "--config", str(cfg)]) == 0
+            nets.append((tmp_path / name / "net.json").read_bytes())
+        assert nets[0] != nets[1]
 
 
 class TestGridparityCommand:

@@ -529,15 +529,17 @@ class TestRunTraces:
         noise=st.sampled_from(sorted(_NOISES)),
         clamp=st.sampled_from([math.inf, 0.75]),
         gammas=st.lists(st.sampled_from([0.25, 0.5]), min_size=6, max_size=6),
+        overflow_b=st.sampled_from([math.inf, 0.02]),
     )
-    def test_lockstep_equals_run_trace(self, kinds, rule, budget, noise, clamp, gammas):
+    def test_lockstep_equals_run_trace(self, kinds, rule, budget, noise, clamp, gammas,
+                                       overflow_b):
         """Every machine's (z, symbol) pairs are its update loop's, whether
         the machines form one stack or several (configs that differ in gamma)."""
         net = small_net()
         steps = 15
         configs = [
             dc.DescentConfig(gamma=gammas[i], steps=steps, coord_budget=budget,
-                             coord_rule=rule, weight_clamp_b=clamp,
+                             coord_rule=rule, weight_clamp_b=clamp, overflow_b=overflow_b,
                              quantization=nc.QuantizationSpec(8, 4),
                              noise=_NOISES[noise], seed=40 + i)
             for i in range(len(kinds))
@@ -585,9 +587,12 @@ class TestRunTraces:
             assert refs[-1]() is None
         assert len(refs) == 3
 
-    def test_lockstep_trace_replays_to_cd_run(self):
+    @pytest.mark.parametrize("overflow_b", [math.inf, 0.02])
+    def test_lockstep_trace_replays_to_cd_run(self, overflow_b):
         net = small_net()
-        cfg = quant_config(steps=30, budget=2, noise=dc.NoiseSpec.gaussian(0.05))
+        cfg = dataclasses.replace(quant_config(steps=30, budget=2,
+                                               noise=dc.NoiseSpec.gaussian(0.05)),
+                                  overflow_b=overflow_b)
         machines = [sla.sgd_as_sla(net, nc.SQUARED_ERROR, dataclasses.replace(cfg, seed=s))
                     for s in (5, 6, 7)]
         traces = sla.run_traces(machines, _lockstep_sources([True, False, True]), 30)
