@@ -16,6 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .funcdist import (
+    MAX_ENUM_FUNCTIONS,
+    MAX_EXHAUSTIVE_N,
     FiniteInputs,
     FunctionDistribution,
     FunctionId,
@@ -28,9 +30,6 @@ from .funcdist import (
     all_inputs_pm,
 )
 from .netcore import SIGMOID, build_mlp, predict_label
-
-MAX_EXHAUSTIVE_N = 12
-MAX_ENUM_SUPPORT = 4096
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ def pred_exact(input_dist, dist: FunctionDistribution) -> PredEstimate:
     if isinstance(dist, UniformAll):
         return PredEstimate(value=float(np.sum(px * px)), method="exact")
     items = dist.enumerate()
-    if len(items) > MAX_ENUM_SUPPORT:
+    if len(items) > MAX_ENUM_FUNCTIONS:
         raise TooLarge(f"support of {len(items)} functions exceeds the exact cap")
     values = np.empty((len(items), xs.shape[0]))
     q = np.empty(len(items))

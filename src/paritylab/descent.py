@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .funcdist import all_inputs_pm
 from .netcore import (
     BudgetExceeded,
     DimensionMismatch,
@@ -46,19 +47,28 @@ def _check_finite(w, algorithm: str, steps: int):
 # configuration
 # ---------------------------------------------------------------------------
 
+# noise kind -> the one parameter it reads
+NOISE_KINDS = {"none": None, "gaussian": "variance", "uniform": "halfwidth"}
+COORD_RULES = ("topk", "randomk")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-edge additive noise: none, Gaussian(variance), or Uniform(halfwidth)."""
+    """Per-edge additive noise: none, Gaussian(variance), or Uniform(halfwidth).
+    A non-zero parameter that the kind does not read is refused."""
 
-    kind: str = "none"  # 'none' | 'gaussian' | 'uniform'
+    kind: str = "none"  # one of NOISE_KINDS
     variance: float = 0.0
     halfwidth: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "gaussian", "uniform"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not (self.variance >= 0 and self.halfwidth >= 0):  # NaN fails too
             raise ValueError("noise parameters must be non-negative")
+        for knob in ("variance", "halfwidth"):
+            if getattr(self, knob) and knob != NOISE_KINDS[self.kind]:
+                raise ValueError(f"noise kind {self.kind!r} reads no {knob}: it must be 0")
 
     @classmethod
     def none(cls):
@@ -107,7 +117,7 @@ class DescentConfig:
     init_perturb_variance: float = 0.0
     quantization: Optional[QuantizationSpec] = None
     coord_budget: Optional[int] = None
-    coord_rule: str = "topk"  # 'topk' | 'randomk'
+    coord_rule: str = "topk"  # one of COORD_RULES
     seed: int = 0
 
     def __post_init__(self):
@@ -121,8 +131,10 @@ class DescentConfig:
             raise ValueError("init_perturb_variance must be >= 0")
         if self.coord_budget is not None and self.coord_budget < 1:
             raise ValueError("coord_budget must be >= 1 when set")
-        if self.coord_rule not in ("topk", "randomk"):
+        if self.coord_rule not in COORD_RULES:
             raise ValueError(f"unknown coord_rule {self.coord_rule!r}")
+        if self.coord_rule != "topk" and self.coord_budget is None:
+            raise ValueError(f"coord_rule {self.coord_rule!r} needs a coord_budget")
 
 
 @dataclass(frozen=True)
@@ -194,9 +206,7 @@ class Population:
             raise BudgetExceeded(
                 f"population GD over the full grid refused for n={n} > {MAX_GRID_N}"
             )
-        idx = np.arange(2 ** n, dtype=np.uint64)
-        bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
-        xs = 1.0 - 2.0 * bits.astype(np.float64)
+        xs = all_inputs_pm(n)
         ys = np.asarray(labeler(xs), dtype=np.float64)
         probs = np.full(2 ** n, 2.0 ** (-n))
         return cls(xs, ys, probs)
@@ -427,8 +437,9 @@ def _single_run(net, source, loss, config, record_steps, trainable):
     log = RunLog(algorithm="sgd" if config.coord_budget is None else "cd")
     edges = net.graph.edges
 
-    def report(t, acc, sel, changed, update):
-        log.steps.append(_step_report(t, edges, w, sel[0][changed[0]], update, acc_bit=bool(acc)))
+    def report(t, acc, sel, changed, update, hit):
+        log.steps.append(_step_report(t, edges, w, sel[0][changed[0]], update, bool(hit[0]),
+                                      bool(acc)))
     blocks = (net._check_batch(*source.take(min(_SAMPLE_CHUNK, config.steps - start)))
               for start in range(0, config.steps, _SAMPLE_CHUNK))
     for acc in _sample_descent(net, w, blocks, loss, config, (config.seed,), trainable,
@@ -470,9 +481,10 @@ def _sample_descent(net, w, blocks, loss, config, seeds, trainable=None, on_step
     (_select_coords, which reads the clipped gradient) when the config has a
     budget, else the edges ``trainable`` (all when None).  A generator: after
     each block it yields the block's accuracy bits.
-    on_step(t, acc, sel, changed, update), when given, runs after each step:
-    sel (K, k) the edges each row wrote, changed whether each one's weight
-    changed, update gamma * grad there."""
+    on_step(t, acc, sel, changed, update, hit), when given, runs after each
+    step: sel (K, k) the edges each row wrote, changed whether each one's
+    weight changed, update gamma * grad there, and hit (K,) whether the clip
+    fired on each row's gradient."""
     if w.ndim == 2 and len(w) == 1:
         w = w[0]
         blocks = ((xs[:, 0], ys[:, 0]) for xs, ys in blocks)
@@ -483,6 +495,7 @@ def _sample_descent(net, w, blocks, loss, config, seeds, trainable=None, on_step
     w_rows, grad_rows = w.reshape(-1, w.shape[-1]), grad.reshape(-1, w.shape[-1])
     rows = np.arange(len(w_rows))[:, None]
     record, t = on_step is not None, 0
+    hit = np.zeros(len(w_rows), dtype=bool)  # an infinite B never clips
     # without a budget every step writes the same edges; a recorded step
     # names them, so it writes through their indices
     edges = np.arange(w.shape[-1]) if trainable is None else np.asarray(trainable, dtype=np.intp)
@@ -494,6 +507,8 @@ def _sample_descent(net, w, blocks, loss, config, seeds, trainable=None, on_step
                 t += 1
                 _, output = gradient(xs[i], ys[i])
                 if math.isfinite(config.overflow_b):
+                    if record:
+                        hit = (np.abs(grad_rows) > config.overflow_b).any(axis=1)
                     np.clip(grad, -config.overflow_b, config.overflow_b, out=grad)
                 acc[i] = _acc_bit(net, output, ys[i], loss, cut)
                 sel = fixed if config.coord_budget is None else _select_coords(
@@ -501,5 +516,5 @@ def _sample_descent(net, w, blocks, loss, config, seeds, trainable=None, on_step
                 before = w_rows[rows, sel] if record else None
                 update = _step(w_rows, grad_rows, config, seeds, t, sel)
                 if record:
-                    on_step(t, acc[i], sel, w_rows[rows, sel] != before, update)
+                    on_step(t, acc[i], sel, w_rows[rows, sel] != before, update, hit)
         yield acc

@@ -184,7 +184,8 @@ class ConstMinus(FunctionId):
 # function distributions
 # ---------------------------------------------------------------------------
 
-MAX_ENUM_FUNCTIONS = 4096
+MAX_ENUM_FUNCTIONS = 4096  # the largest support enumerate() lists
+MAX_EXHAUSTIVE_N = 12  # the largest n whose 2^n inputs an exact sum or evaluation visits
 
 
 class FunctionDistribution:
@@ -219,7 +220,7 @@ class ParityUniform(FunctionDistribution):
         return ParitySubset(self.n, mask)
 
     def enumerate(self):
-        if self.n > 12:
+        if 2 ** self.n > MAX_ENUM_FUNCTIONS:
             raise TooLarge(f"2^{self.n} parities exceed the enumeration cap")
         prob = 2.0 ** (-self.n)
         return [(ParitySubset(self.n, m), prob) for m in range(2 ** self.n)]
@@ -471,11 +472,47 @@ class SampleSource:
 # GF(2) parity recovery
 # ---------------------------------------------------------------------------
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def pm_to_mask(x) -> int:
+    """The bit mask of a +-1 input: bit i set where x[i] < 0 (bit 1 -> -1)."""
+    digits = (np.asarray(x) < 0).tobytes()[::-1].translate(_BIT_DIGITS)  # bit n-1 first
+    return int(digits or b"0", 2)
+
+
+def gf2_absorb(system: tuple, mask: int, rhs: int) -> Optional[tuple]:
+    """``system`` plus the equation <mask, s> = rhs over GF(2), or None when
+    the row reduces to 0 = 1.
+
+    A system is a sorted tuple of (pivot column, row mask, rhs), fully
+    reduced: each pivot column is set in its own row only.  A row that
+    reduces to 0 = 0 returns ``system`` itself."""
+    for col, pmask, prhs in system:
+        if (mask >> col) & 1:
+            mask ^= pmask
+            rhs ^= prhs
+    if mask == 0:
+        return None if rhs else system
+    col = (mask & -mask).bit_length() - 1
+    return tuple(sorted([(c, pmask ^ mask, prhs ^ rhs) if (pmask >> col) & 1 else (c, pmask, prhs)
+                         for c, pmask, prhs in system] + [(col, mask, rhs)]))
+
+
+def gf2_solution(system: tuple) -> int:
+    """The solution mask of a reduced system, its free columns set to 0."""
+    s = 0
+    for col, _, rhs in system:
+        if rhs:
+            s |= 1 << col
+    return s
+
+
 def gf2_recover(samples) -> int:
     """Recover the planted parity subset from labeled samples.
 
     Converts +-1 values to bits via b = (1 - v) / 2 and eliminates the
-    augmented system [X | y] over GF(2) with int bitsets.  Returns the subset
+    augmented system [X | y] over GF(2) with gf2_absorb.  Returns the subset
     mask when the sample matrix has full column rank; raises Inconsistent when
     no parity fits and NotIdentifiable on rank deficiency.
     """
@@ -488,38 +525,15 @@ def gf2_recover(samples) -> int:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (n,):
             raise DimensionMismatch("sample dimensions differ")
-        mask = 0
-        for i in range(n):
-            if x[i] < 0:
-                mask |= 1 << i
-        rows.append((mask, 1 if y < 0 else 0))
-
-    pivot_rows = {}  # col -> (row_mask, rhs)
+        rows.append((pm_to_mask(x), 1 if y < 0 else 0))
+    system = ()
     for mask, rhs in rows:
-        for col, (pmask, prhs) in pivot_rows.items():
-            if (mask >> col) & 1:
-                mask ^= pmask
-                rhs ^= prhs
-        if mask == 0:
-            if rhs == 1:
-                raise Inconsistent("labels are not any parity of the inputs")
-            continue
-        col = (mask & -mask).bit_length() - 1
-        pivot_rows[col] = (mask, rhs)
-        # re-reduce existing pivots against the new one
-        for c, (pmask, prhs) in list(pivot_rows.items()):
-            if c != col and (pmask >> col) & 1:
-                pivot_rows[c] = (pmask ^ mask, prhs ^ rhs)
-
-    if len(pivot_rows) < n:
-        raise NotIdentifiable(
-            f"rank {len(pivot_rows)} < {n}: several parities fit the samples"
-        )
-    s_mask = 0
-    for col, (_, rhs) in pivot_rows.items():
-        if rhs:
-            s_mask |= 1 << col
-    return s_mask
+        system = gf2_absorb(system, mask, rhs)
+        if system is None:
+            raise Inconsistent("labels are not any parity of the inputs")
+    if len(system) < n:
+        raise NotIdentifiable(f"rank {len(system)} < {n}: several parities fit the samples")
+    return gf2_solution(system)
 
 
 # ---------------------------------------------------------------------------

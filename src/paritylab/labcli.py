@@ -45,7 +45,8 @@ _REQUIRED = object()
 _FLOAT_MAX = sys.float_info.max  # an upper bound that refuses inf
 
 # Each section's keys as (type, default[, low[, high]]), the bounds inclusive.
-# A list type [t] checks each element as a t.
+# A tuple type is the set of names the key may take.  A list type [t] checks
+# each element as a t.
 KEY_TABLES = {
     "config": {
         "experiment": (str, _REQUIRED),
@@ -59,26 +60,26 @@ KEY_TABLES = {
     },
     "net": {
         "widths": ([int], _REQUIRED, 1),
-        "activation": (str, "sigmoid"),
-        "out_activation": (str, ""),
-        "init": (str, "he_uniform"),
+        "activation": (tuple(netcore.ACTIVATIONS), "sigmoid"),
+        "out_activation": (("", *netcore.ACTIVATIONS), ""),  # "": the hidden activation
+        "init": (netcore.INITS, "he_uniform"),
     },
     "descent": {
         "gamma": (float, _REQUIRED),
         "steps": (int, _REQUIRED),
         "overflow_b": (float, math.inf),
         "weight_clamp_b": (float, math.inf),
-        "noise_kind": (str, "none"),
+        "noise_kind": (tuple(descent.NOISE_KINDS), "none"),
         "noise_variance": (float, 0.0),
         "noise_halfwidth": (float, 0.0),
         "init_perturb_variance": (float, 0.0),
         "quantization_bits": ([int], []),
         "coord_budget": (int, 0),
-        "coord_rule": (str, "topk"),
+        "coord_rule": (descent.COORD_RULES, "topk"),
     },
     "xpred": {
         "distribution": (dict, _REQUIRED),
-        "method": (str, "auto"),
+        "method": (("auto", "exact", "closed_form", "monte_carlo"), "auto"),
         "outer_pairs": (int, 20000, 2),
         "inner_x": (int, 512, 2),
     },
@@ -87,15 +88,15 @@ KEY_TABLES = {
         "function_mask": (int, _REQUIRED),
         "net": (dict, _REQUIRED),
         "descent": (dict, _REQUIRED),
-        "algorithm": (str, "sgd"),
-        "loss": (str, "squared"),
+        "algorithm": (("sgd", "cd", "gd"), "sgd"),
+        "loss": (tuple(netcore.LOSSES), "squared"),
     },
     "distinguish": {
         "distribution": (dict, _REQUIRED),
         "steps": (int, _REQUIRED),
         "trials": (int, _REQUIRED),
-        "statistic": (str, "prediction_count"),
-        "machine": (str, "sgd_sla"),
+        "statistic": (sla.STATISTICS, "prediction_count"),
+        "machine": (("sgd_sla", "constant", "gf2_solver"), "sgd_sla"),
         "net": (dict, {}),
         "descent": (dict, {}),
         "cap_constant": (float, 1.0),
@@ -107,7 +108,7 @@ KEY_TABLES = {
         "train_count": (int, 1000, 1),
         "test_count": (int, 1000, 1),
         "gamma": (float, 0.1, 0.0, _FLOAT_MAX),
-        "loss": (str, "squared"),
+        "loss": (tuple(netcore.LOSSES), "squared"),
         "n_seeds": (int, 1, 1),
     },
     "phase": {
@@ -117,8 +118,8 @@ KEY_TABLES = {
         "gamma": (float, 0.05, 0.0),
         "eval_trials": (int, 4000, 0),
         "mlp_widths": ([int], [64, 64], 1),
-        "max_units": (int, 4096),
-        "methods": (list, ["engineered", "generic_mlp"]),
+        "max_units": (int, funcdist.MAX_ENUM_FUNCTIONS),  # one unit per enumerated monomial
+        "methods": ([("engineered", "generic_mlp")], ["engineered", "generic_mlp"]),
     },
     "bounds": {
         "gd_grid": ([dict], []),
@@ -143,7 +144,7 @@ KEY_TABLES = {
         "c_const": (float, 1.0),
     },
     "bounds.empirical": {
-        "n": (int, _REQUIRED),
+        "n": (int, _REQUIRED, 1, funcdist.MAX_EXHAUSTIVE_N),  # accuracy is exhaustive
         "widths": ([int], [16], 1),
         "gamma": (float, 0.01),
         "overflow_b": (float, 1.0),
@@ -186,7 +187,12 @@ def _check_keys(section: dict, where: str, extra: Optional[dict] = None) -> dict
 
 def _checked(value, typ, name: str, low=None, high=None):
     """``value`` as a ``typ`` (an int widens to a float), within the
-    inclusive bounds low and high where they are given."""
+    inclusive bounds low and high where they are given; a tuple ``typ`` is
+    the set of names ``value`` may be."""
+    if isinstance(typ, tuple):
+        if not (isinstance(value, str) and value in typ):
+            raise SchemaError(f"bad value in {name}: must be one of {list(typ)}, got {value!r}")
+        return value
     if isinstance(value, bool) and typ is not bool:
         raise SchemaError(f"{name} must be {typ}, got bool")
     if isinstance(value, int):
@@ -309,8 +315,6 @@ def cmd_xpred(config: dict, ctx: RunContext) -> int:
     dist = _dist_from_config(spec["distribution"])
     inputs = funcdist.UniformInputs(dist.n)
     method = spec["method"]
-    if method not in ("auto", "exact", "closed_form", "monte_carlo"):
-        raise SchemaError(f"unknown xpred method {method!r}")
     estimate = None
     if method in ("auto", "closed_form"):
         estimate = crosspred.pred_closed_form(dist, inputs)
@@ -335,20 +339,12 @@ def cmd_xpred(config: dict, ctx: RunContext) -> int:
 
 def _net_from_config(section: dict, n: int, seed: int) -> netcore.NeuralNet:
     spec = _check_keys(section, "net")
-    act = netcore.ACTIVATIONS.get(spec["activation"])
-    if act is None:
-        raise SchemaError(f"unknown activation {spec['activation']!r}")
-    out_act = None
-    if spec["out_activation"]:
-        out_act = netcore.ACTIVATIONS.get(spec["out_activation"])
-        if out_act is None:
-            raise SchemaError(f"unknown activation {spec['out_activation']!r}")
     with _values_checked("net"):
         return netcore.build_mlp(
             n,
             spec["widths"],
-            act,
-            out_activation=out_act,
+            netcore.ACTIVATIONS[spec["activation"]],
+            out_activation=netcore.ACTIVATIONS.get(spec["out_activation"]),  # "": None
             init=spec["init"],
             rng=np.random.default_rng(seed) if spec["init"] != "zeros" else None,
         )
@@ -382,10 +378,6 @@ def _descent_config(section: dict, seed: int) -> descent.DescentConfig:
 
 def cmd_train(config: dict, ctx: RunContext) -> int:
     spec = _check_keys(config, "train")
-    if spec["algorithm"] not in ("sgd", "cd", "gd"):
-        raise SchemaError(f"unknown algorithm {spec['algorithm']!r}")
-    if spec["loss"] not in netcore.LOSSES:
-        raise SchemaError(f"unknown loss {spec['loss']!r}")
     loss = netcore.LOSSES[spec["loss"]]
     n = spec["n"]
     with _values_checked("train"):
@@ -406,9 +398,8 @@ def cmd_train(config: dict, ctx: RunContext) -> int:
         )
         runner = descent.cd_run if spec["algorithm"] == "cd" else descent.sgd_run
         final, log = runner(net, source, loss, config_d, record_steps=False)
-    accuracy = sla.accuracy_eval(final, f, loss=loss) if n <= 12 else sla.accuracy_eval(
-        final, f, trials=20000, seed=ctx.seed + 2, loss=loss
-    )
+    trials = 0 if n <= funcdist.MAX_EXHAUSTIVE_N else 20000  # 0: exhaustive
+    accuracy = sla.accuracy_eval(final, f, trials=trials, seed=ctx.seed + 2, loss=loss)
     (ctx.out_dir / "net.json").write_text(
         netcore.net_to_json(final, quantization=config_d.quantization)
     )
@@ -440,8 +431,6 @@ def cmd_distinguish(config: dict, ctx: RunContext) -> int:
         if steps != spec["steps"]:
             raise SchemaError(f"bad value in distinguish.descent.steps: the traces run "
                               f"distinguish.steps = {spec['steps']}, got {steps}")
-    elif spec["machine"] not in ("constant", "gf2_solver"):
-        raise SchemaError(f"unknown machine {spec['machine']!r}")
     elif spec["net"] or spec["descent"]:
         raise SchemaError(f"machine {spec['machine']!r} trains no net: "
                           "distinguish.net and distinguish.descent must be empty")
@@ -536,8 +525,6 @@ def _epoch_blocks(imgs, ys, orders, epochs):
 
 def cmd_gridparity(config: dict, ctx: RunContext) -> int:
     spec = _check_keys(config, "gridparity")
-    if spec["loss"] not in netcore.LOSSES:
-        raise SchemaError(f"unknown loss {spec['loss']!r}")
     loss = netcore.LOSSES[spec["loss"]]
     seeds = [ctx.seed + i for i in range(spec["n_seeds"])]
     # every seed runs before any file is written, so a seed that diverges leaves none
@@ -554,18 +541,16 @@ def cmd_gridparity(config: dict, ctx: RunContext) -> int:
 
 def cmd_phase(config: dict, ctx: RunContext) -> int:
     spec = _check_keys(config, "phase")
-    if any(m not in ("engineered", "generic_mlp") for m in spec["methods"]):
-        raise SchemaError(f"unknown phase methods in {spec['methods']}")
     if not (spec["k_values"] and spec["methods"]):
         raise SchemaError("phase.k_values and phase.methods must each be non-empty")
     n = spec["n"]
     if max(spec["k_values"]) > n:
         raise SchemaError(f"bad value in phase.k_values: each must be <= n = {n}, "
                           f"got {spec['k_values']}")
-    # exhaustive evaluation covers n <= 12; beyond it accuracy is sampled
-    if n > 12 and spec["eval_trials"] < 1:
-        raise SchemaError(f"bad value in phase.eval_trials: must be >= 1 when n > 12, "
-                          f"got {spec['eval_trials']}")
+    # evaluation is exhaustive up to MAX_EXHAUSTIVE_N inputs and sampled beyond
+    if n > funcdist.MAX_EXHAUSTIVE_N and spec["eval_trials"] < 1:
+        raise SchemaError(f"bad value in phase.eval_trials: must be >= 1 when "
+                          f"n > {funcdist.MAX_EXHAUSTIVE_N}, got {spec['eval_trials']}")
     rows = [_phase_row(n, k, method, spec, ctx.seed) for k in spec["k_values"]
             for method in ("engineered", "generic_mlp") if method in spec["methods"]]
     _write_csv(
@@ -578,9 +563,9 @@ def cmd_phase(config: dict, ctx: RunContext) -> int:
 
 def _phase_row(n, k, method, spec, seed):
     """One phase.csv row: SGD from the method's net on a planted degree-k
-    monomial, then the trained net's accuracy, exact for n <= 12 and sampled
-    with a binomial CI beyond.  The engineered net trains only its readout
-    under squared loss; the generic MLP trains every edge under BCE."""
+    monomial, then the trained net's accuracy, exact for n <= MAX_EXHAUSTIVE_N
+    and sampled with a binomial CI beyond.  The engineered net trains only its
+    readout under squared loss; the generic MLP trains every edge under BCE."""
     f = funcdist.MonomialK(n, k).draw(np.random.default_rng(seed + k))
     if method == "engineered":
         if math.comb(n, k) > spec["max_units"]:
@@ -598,7 +583,7 @@ def _phase_row(n, k, method, spec, seed):
     source = funcdist.SampleSource.planted(f, funcdist.UniformInputs(n), seed=source_seed)
     trained, _ = descent.sgd_run(net, source, loss, cfg, record_steps=False,
                                  trainable=trainable)
-    if n <= 12:
+    if n <= funcdist.MAX_EXHAUSTIVE_N:
         return (k, method, sla.accuracy_eval(trained, f, loss=loss), 0.0)
     trials = spec["eval_trials"]
     acc = sla.accuracy_eval(trained, f, trials=trials, seed=eval_seed, loss=loss)

@@ -195,16 +195,14 @@ LOGISTIC_BCE = LossKind("bce")
 LOSSES = {"squared": SQUARED_ERROR, "bce": LOGISTIC_BCE}
 
 
-def predict_label(output, activation: Activation, loss: LossKind = SQUARED_ERROR,
-                  threshold: Optional[float] = None):
+def predict_label(output, activation: Activation, loss: LossKind = SQUARED_ERROR):
     """Threshold a net output into a +-1 label.
 
-    Squared-error nets predict +1 at or above the activation midpoint (or an
-    explicit ``threshold``).  BCE nets model P(bit = 1); bit 1 maps to label
-    -1 under b -> 1 - 2b.
+    Squared-error nets predict +1 at or above the activation midpoint.  BCE
+    nets model P(bit = 1); bit 1 maps to label -1 under b -> 1 - 2b.
     """
     output = np.asarray(output)
-    cut = decision_cut(activation, loss) if threshold is None else threshold
+    cut = decision_cut(activation, loss)
     if loss.kind == "bce":
         return np.where(output >= cut, -1.0, 1.0)
     return np.where(output >= cut, 1.0, -1.0)
@@ -976,6 +974,9 @@ class _PopulationWorkspace:
 # builders
 # ---------------------------------------------------------------------------
 
+INITS = ("zeros", "he_uniform", "gaussian_fan_in")  # build_mlp's weight inits
+
+
 def build_mlp(
     n: int,
     hidden: Sequence[int],
@@ -986,9 +987,11 @@ def build_mlp(
 ) -> NeuralNet:
     """Fully-connected layered net with bias edges from the constant vertex.
 
-    init: 'zeros', 'he_uniform' (U(+-sqrt(6/fan_in)), biases 0), or
-    'gaussian_fan_in' (N(0, 1/fan_in), biases 0).
+    init, one of INITS: 'zeros', 'he_uniform' (U(+-sqrt(6/fan_in)), biases
+    0), or 'gaussian_fan_in' (N(0, 1/fan_in), biases 0).
     """
+    if init not in INITS:
+        raise ValueError(f"unknown init {init!r}: must be one of {list(INITS)}")
     if init != "zeros" and rng is None:
         raise ValueError("random init requires an rng")
     if n < 0 or min(hidden, default=1) < 1:

@@ -27,12 +27,16 @@ from scipy.stats import beta as _beta_dist
 from . import descent as _descent
 from .descent import DescentConfig
 from .funcdist import (
+    MAX_EXHAUSTIVE_N,
     DimensionMismatch,
     FunctionDistribution,
     FunctionId,
     SampleSource,
     UniformInputs,
     all_inputs_pm,
+    gf2_absorb,
+    gf2_solution,
+    pm_to_mask,
 )
 from .netcore import LossKind, NeuralNet, SQUARED_ERROR, predict_label
 from .crosspred import pred_closed_form
@@ -224,7 +228,7 @@ def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int):
     new = np.empty(shape)
     changed = np.empty(shape, dtype=bool)
 
-    def record(t, acc, step_sel, step_changed, update):
+    def record(t, acc, step_sel, step_changed, update, hit):
         sel[t - 1], new[t - 1], changed[t - 1] = step_sel, w[rows, step_sel], step_changed
     acc, = _descent._sample_descent(net, w, [(block, labels)], loss, config,
                                     [run.config.seed for run in runs], on_step=record)
@@ -299,7 +303,8 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
 
 
 def gf2_solver_sla(n: int) -> SlaStateMachine:
-    """Full-memory baseline: maintains a reduced GF(2) system as its symbol.
+    """Full-memory baseline on n inputs: maintains a reduced GF(2) system
+    (funcdist's gf2_absorb form) as its symbol.
 
     Predicts each fresh label from the current partial solution before
     absorbing the row (rows inconsistent with the state are skipped, so null
@@ -307,42 +312,13 @@ def gf2_solver_sla(n: int) -> SlaStateMachine:
     reduced systems, far beyond any finite-alphabet failure regime.
     """
 
-    def reduce_row(pivots, mask, rhs):
-        for col, pmask, prhs in pivots:
-            if (mask >> col) & 1:
-                mask ^= pmask
-                rhs ^= prhs
-        return mask, rhs
-
-    def solution_mask(pivots) -> int:
-        s = 0
-        for col, _, rhs in pivots:
-            if rhs:
-                s |= 1 << col
-        return s
-
     def update(z, history):
-        pivots = history[-1][0] if history else ()
+        system = history[-1][0] if history else ()
         x, y = z
-        xbits = 0
-        for i in range(n):
-            if x[i] < 0:
-                xbits |= 1 << i
-        s = solution_mask(pivots)
-        pred = 1.0 - 2.0 * ((s & xbits).bit_count() & 1)
-        acc = bool(pred == y)
-        mask, rhs = reduce_row(pivots, xbits, 1 if y < 0 else 0)
-        if mask != 0:
-            col = (mask & -mask).bit_length() - 1
-            new = []
-            for c, pmask, prhs in pivots:
-                if (pmask >> col) & 1:
-                    new.append((c, pmask ^ mask, prhs ^ rhs))
-                else:
-                    new.append((c, pmask, prhs))
-            new.append((col, mask, rhs))
-            pivots = tuple(sorted(new))
-        return (pivots, acc)
+        xbits = pm_to_mask(x)
+        acc = bool(1.0 - 2.0 * ((gf2_solution(system) & xbits).bit_count() & 1) == y)
+        absorbed = gf2_absorb(system, xbits, 1 if y < 0 else 0)
+        return (system if absorbed is None else absorbed, acc)
 
     return SlaStateMachine(
         alphabet_size=math.inf,
@@ -388,16 +364,10 @@ class DistinguishReport:
     threshold: float
 
     def to_json(self) -> dict:
-        return {
-            "trials_per_hypothesis": self.trials_per_hypothesis,
-            "accuracy": self.accuracy,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "ci95": self.ci95,
-            "theoretical_cap": self.theoretical_cap,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-        }
+        return dataclasses.asdict(self)
+
+
+STATISTICS = ("prediction_count", "final_acc_bit")  # the decision statistics
 
 
 def _trace_statistic(trace: TraceRecord, machine: SlaStateMachine, statistic: str) -> float:
@@ -420,7 +390,7 @@ def distinguish_cap(dist: FunctionDistribution, steps: int, trials: int,
         raise ValueError("need steps >= 1")
     if trials < 20:
         raise ValueError("need at least 20 trials per hypothesis")
-    if statistic not in ("final_acc_bit", "prediction_count"):
+    if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     if not (math.isfinite(cap_constant) and cap_constant >= 0):
         raise ValueError(f"cap_constant must be finite and >= 0, got {cap_constant}")
@@ -463,7 +433,7 @@ def distinguish_experiment(
 
     n_cal = calibration_trials if calibration_trials is not None else trials
     phases = ((0, n_cal), (1, trials), (2, trials))
-    fn_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
+    fn_rng = _descent._stream(seed, 3)
     sources = [
         SampleSource.planted(dist.draw(fn_rng), inputs, seed=_derived_seed(seed, tag, i))
         if tag == 1 else SampleSource.null(inputs, seed=_derived_seed(seed, tag, i))
@@ -512,32 +482,23 @@ def _derived_seed(seed: int, tag: int, index: int) -> int:
 def accuracy_eval(
     net: NeuralNet,
     f: FunctionId,
-    input_dist=None,
     trials: int = 0,
     seed: int = 0,
     loss: LossKind = SQUARED_ERROR,
-    threshold: Optional[float] = None,
 ) -> float:
-    """P(thresholded eval = f(X)): exhaustive for n <= 12, else Monte Carlo.
-
-    The decision threshold defaults to the output activation's midpoint (BCE
-    nets cut at 1/2); pass ``threshold`` to override.
-    """
+    """P(thresholded eval = f(X)) under uniform inputs, from ``trials``
+    sampled inputs, or over all 2^n when trials is 0 (n <= MAX_EXHAUSTIVE_N).
+    The decision cut is the output activation's midpoint (BCE nets cut at 1/2)."""
     n = f.n
     if net.n_inputs != n:
         raise DimensionMismatch("net and function input sizes differ")
-    act = net.activation_of(net.graph.output)
     if trials:
-        if input_dist is None:
-            input_dist = UniformInputs(n)
-        xs = input_dist.sample(np.random.default_rng(seed), trials)
+        xs = UniformInputs(n).sample(np.random.default_rng(seed), trials)
+    elif n > MAX_EXHAUSTIVE_N:
+        raise ValueError(f"exhaustive evaluation capped at n <= {MAX_EXHAUSTIVE_N}; pass trials")
     else:
-        if input_dist is not None and not isinstance(input_dist, UniformInputs):
-            raise ValueError("exhaustive evaluation assumes uniform inputs")
-        if n > 12:
-            raise ValueError("exhaustive evaluation capped at n <= 12; pass trials")
         xs = all_inputs_pm(n)
-    preds = predict_label(net.evaluate_batch(xs), act, loss, threshold=threshold)
+    preds = predict_label(net.evaluate_batch(xs), net.activation_of(net.graph.output), loss)
     return float(np.mean(preds == f.evaluate_batch(xs)))
 
 

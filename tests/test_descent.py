@@ -443,6 +443,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=knob):
             dc.DescentConfig(**{"gamma": 0.1, "steps": 1, knob: math.nan})
 
+    @pytest.mark.parametrize("kind, knob", [("none", "variance"), ("none", "halfwidth"),
+                                            ("gaussian", "halfwidth"), ("uniform", "variance")])
+    def test_noise_refuses_a_parameter_its_kind_does_not_read(self, kind, knob):
+        with pytest.raises(ValueError, match=f"reads no {knob}"):
+            dc.NoiseSpec(kind, **{knob: 0.5})
+
+    def test_randomk_needs_a_budget(self):
+        with pytest.raises(ValueError, match="needs a coord_budget"):
+            dc.DescentConfig(gamma=0.1, steps=1, coord_rule="randomk")
+
 
 class TestRunLogFormat:
     def test_jsonl_record_shape(self):
@@ -463,6 +473,18 @@ class TestRunLogFormat:
         assert set(record) == {"t", "changed", "max_update", "overflow_hit",
                                "acc_bit"}
         assert all(set(c) == {"edge", "w"} for c in record["changed"])
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "cd"])
+    @pytest.mark.parametrize("overflow_b, hits", [(1e-9, True), (math.inf, False)])
+    def test_step_log_reports_overflow_hits(self, algorithm, overflow_b, hits):
+        """Psi_B clips every step's sample gradient at B = 1e-9, and none at B = inf."""
+        net = nc.build_mlp(6, [4], nc.SIGMOID, init="he_uniform", rng=np.random.default_rng(5))
+        src = fd.SampleSource.planted(fd.ParitySubset(6, 0b100101), fd.UniformInputs(6), seed=8)
+        cfg = dc.DescentConfig(gamma=0.1, steps=20, overflow_b=overflow_b, seed=3,
+                               coord_budget=2 if algorithm == "cd" else None)
+        run = dc.cd_run if algorithm == "cd" else dc.sgd_run
+        _, log = run(net, src, nc.SQUARED_ERROR, cfg)
+        assert [r.overflow_hit for r in log.steps] == [hits] * 20
 
 
 def _topk_reference(grad, budget):
@@ -579,14 +601,14 @@ class TestSampleDescentStack:
     @staticmethod
     def _run(net, w, blocks, loss, cfg, seeds, trainable):
         """The loop's final weights, accuracy bits, and per step its bits, the
-        edges each row wrote, their new values, which changed, and gamma *
-        grad there."""
+        edges each row wrote, their new values, which changed, gamma * grad
+        there, and whether the clip fired on each row."""
         steps = []
 
-        def record(t, acc, sel, changed, update):
+        def record(t, acc, sel, changed, update, hit):
             values = w.reshape(-1, w.shape[-1])[np.arange(len(sel))[:, None], sel]
             steps.append((t, np.array(acc), np.array(sel), values, changed.copy(),
-                          update.copy()))
+                          update.copy(), hit.copy()))
         bits = dc._sample_descent(net, w, blocks, loss, cfg, seeds, trainable, record)
         return w, np.concatenate(list(bits)), steps
 

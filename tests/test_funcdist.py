@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from paritylab import funcdist as fd
 from paritylab import netcore as nc
+from paritylab import sla
 from _util import brute_force_girth
 
 
@@ -332,6 +333,57 @@ class TestGf2Recover:
             f = fd.ParitySubset(n, mask)
             samples = [(x, f.evaluate(x)) for x in xs]
             assert fd.gf2_recover(samples) == mask
+
+
+class TestGf2Eliminator:
+    """funcdist's one GF(2) eliminator, which gf2_recover and gf2_solver_sla share."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 2 ** 12 - 1), st.integers(0, 1)),
+                         max_size=30))
+    def test_solution_satisfies_every_absorbed_row(self, rows):
+        system, absorbed = (), []
+        for mask, rhs in rows:
+            s = fd.gf2_solution(system)
+            grown = fd.gf2_absorb(system, mask, rhs)
+            if grown is None:
+                # 0 = 1: the row is a sum of absorbed rows with the other rhs
+                assert (s & mask).bit_count() % 2 != rhs
+                continue
+            system = grown
+            absorbed.append((mask, rhs))
+            # sorted, and each pivot column set in its own row only
+            assert list(system) == sorted(system)
+            for col, _, _ in system:
+                assert [c for c, other, _ in system if (other >> col) & 1] == [col]
+            s = fd.gf2_solution(system)
+            assert all((s & m).bit_count() % 2 == r for m, r in absorbed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_full_rank_planted_stream_recovers_the_mask(self, data):
+        """In any row order, with any extra rows, through gf2_recover and
+        through gf2_solver_sla's final system."""
+        n = data.draw(st.integers(1, 10))
+        mask = data.draw(st.integers(0, 2 ** n - 1))
+        # n rows of full rank (row i's lowest set bit is i), then any extra rows
+        high = data.draw(st.lists(st.integers(0, 2 ** n - 1), min_size=n, max_size=n))
+        basis = [(1 << i) | (h >> (i + 1) << (i + 1)) for i, h in enumerate(high)]
+        extra = data.draw(st.lists(st.integers(0, 2 ** n - 1), max_size=8))
+        rows = data.draw(st.permutations(basis + extra))
+        f = fd.ParitySubset(n, mask)
+        xs = [fd.bits_to_pm([(r >> i) & 1 for i in range(n)]) for r in rows]
+        samples = [(x, f.evaluate(x)) for x in xs]
+        assert fd.gf2_recover(samples) == mask
+        machine, symbols = sla.gf2_solver_sla(n), []
+        for z in samples:
+            symbols.append(machine.update(z, symbols))
+        assert fd.gf2_solution(symbols[-1][0]) == mask and len(symbols[-1][0]) == n
+
+    @settings(max_examples=60, deadline=None)
+    @given(bits=st.lists(st.integers(0, 1), max_size=80))
+    def test_pm_to_mask_sets_the_minus_one_coordinates(self, bits):
+        assert fd.pm_to_mask(fd.bits_to_pm(bits)) == sum(b << i for i, b in enumerate(bits))
 
 
 class TestGridDataset:

@@ -223,7 +223,7 @@ class TestSchemaAndExitCodes:
                    "descent": {"gamma": 0.1, "steps": 5}}, "mask out of range"),
         ("gen-aer", {"n": 10, "m": 3.0, "r": 2}, "r >= 3"),
         ("phase", {"n": 6, "k_values": [0]}, "phase.k_values"),
-        ("phase", {"n": 6, "k_values": [2], "methods": [["engineered"]]}, "phase methods"),
+        ("phase", {"n": 6, "k_values": [2], "methods": [["engineered"]]}, "phase.methods"),
         ("train", {"n": 4, "function_mask": 3, "net": {"widths": [True]},
                    "descent": {"gamma": 0.1, "steps": 5}}, "net.widths"),
     ])
@@ -652,6 +652,12 @@ class TestCommandContracts:
         ("phase", {"n": 6, "k_values": [1], "train_steps": -1}),
         ("phase", {"n": 6, "k_values": [1], "mlp_widths": [10 ** 400]}),
         ("bounds", {"gd_grid": [3]}),
+        ("train", {**_TRAIN_BASE, "descent": {"gamma": 0.1, "steps": 5, "noise_variance": 0.5}}),
+        ("train", {**_TRAIN_BASE, "descent": {"gamma": 0.1, "steps": 5, "noise_kind": "gaussian",
+                                              "noise_halfwidth": 3.0}}),
+        ("train", {**_TRAIN_BASE, "descent": {"gamma": 0.1, "steps": 5, "coord_rule": "randomk"}}),
+        ("train", {**_TRAIN_BASE, "net": {"widths": [3], "init": "bogus"},
+                   "descent": {"gamma": 0.1, "steps": 5}}),
     ], ids=["xpred_outer1", "xpred_inner1", "empirical_steps-1", "empirical_gamma0",
             "empirical_sigma2_nan", "gd_steps-10", "gd_sigma2_nan", "gd_gamma_nan",
             "sgd_p-0.5", "sgd_c-100", "sgd_c_nan", "gd_gamma_inf_steps0",
@@ -659,7 +665,9 @@ class TestCommandContracts:
             "train_gd_budget2", "train_sgd_budget2", "train_n0", "train_overflow_nan",
             "train_gamma_1e400", "train_gamma_nan", "train_noise_variance_nan",
             "train_noise_halfwidth_nan", "train_perturb_nan", "gd_steps_1e400", "sgd_m_1e400", "phase_n13_trials0",
-            "phase_trials-1", "phase_gamma-1", "phase_steps-1", "phase_width_1e400", "gd_row_not_dict"])
+            "phase_trials-1", "phase_gamma-1", "phase_steps-1", "phase_width_1e400",
+            "gd_row_not_dict", "train_variance_under_none", "train_halfwidth_under_gaussian",
+            "train_randomk_no_budget", "train_init_bogus"])
     def test_invalid_config_exits_2(self, tmp_path, command, parameters):
         code, stderr, manifest = _run_lab(command, parameters, tmp_path)
         assert code == 2
@@ -940,11 +948,13 @@ class TestDivergedEvaluation:
         assert manifest["status"] == "invalid"
 
 
-# per key table with bounds: the command, a config that runs, and the path of
-# the table's section in that config's parameters
+# per key table with bounds or names: the command, a config that runs, and
+# the path of the table's section in that config's parameters
 _TABLE_SITES = {
     "xpred": ("xpred", {"distribution": _MIXTURE_16}, ()),
     "net": ("train", {**_TRAIN_BASE, "descent": {"gamma": 0.1, "steps": 5}}, ("net",)),
+    "descent": ("train", {**_TRAIN_BASE, "descent": {"gamma": 0.1, "steps": 5}}, ("descent",)),
+    "distinguish": ("distinguish", _DISTINGUISH_BASE, ()),
     "train": ("train", {**_TRAIN_BASE, "descent": {"gamma": 0.1, "steps": 5}}, ()),
     "gridparity": ("gridparity", _GRIDPARITY_BASE, ()),
     "phase": ("phase", {"n": 6, "k_values": [1], "train_steps": 5}, ()),
@@ -977,11 +987,27 @@ def _out_of_range_cases():
                 yield where, key, [value] if isinstance(typ, list) else value
 
 
+def _names(typ):
+    """The names a key of type ``typ`` may take: () unless it is a name set."""
+    elem = typ[0] if isinstance(typ, list) else typ
+    return elem if isinstance(elem, tuple) else ()
+
+
+def _unknown_name_cases():
+    """(where, key, value) for every name-valued key: a name outside its set,
+    and its last name in capitals."""
+    for where, table in _key_tables():
+        for key, (typ, *_) in table.items():
+            names = _names(typ)
+            for value in ("bogus", names[-1].upper()) if names else ():
+                yield where, key, [value] if isinstance(typ, list) else value
+
+
 class TestKeyTableBounds:
-    @pytest.mark.parametrize("where, key, value", list(_out_of_range_cases()),
-                             ids=lambda v: repr(v) if not isinstance(v, str) else v)
-    def test_out_of_range_value_exits_2(self, tmp_path, where, key, value):
-        assert where in _TABLE_SITES, f"no config site for the bounded table {where}"
+    @staticmethod
+    def _assert_refused(tmp_path, where, key, value):
+        """The table's config site with ``value`` at where.key exits 2 on that key."""
+        assert where in _TABLE_SITES, f"no config site for the table {where}"
         command, parameters, path = _TABLE_SITES[where]
         parameters = json.loads(json.dumps(parameters))
         section = parameters
@@ -995,9 +1021,22 @@ class TestKeyTableBounds:
         assert manifest["status"] == "invalid"
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
 
+    @pytest.mark.parametrize("where, key, value", list(_out_of_range_cases()),
+                             ids=lambda v: repr(v) if not isinstance(v, str) else v)
+    def test_out_of_range_value_exits_2(self, tmp_path, where, key, value):
+        self._assert_refused(tmp_path, where, key, value)
+
+    @pytest.mark.parametrize("where, key, value", list(_unknown_name_cases()),
+                             ids=lambda v: repr(v) if not isinstance(v, str) else v)
+    def test_unknown_name_exits_2(self, tmp_path, where, key, value):
+        self._assert_refused(tmp_path, where, key, value)
+
     def test_every_key_is_named_in_the_readme(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         cli = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
         missing = sorted({f"{where}.{key}" for where, table in _key_tables()
                           for key in table if f"`{key}`" not in cli})
         assert missing == []
+        unnamed = sorted({name for _, table in _key_tables() for typ, *_ in table.values()
+                          for name in _names(typ) if name and f"`{name}`" not in cli})
+        assert unnamed == []

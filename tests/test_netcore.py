@@ -96,6 +96,12 @@ class TestGraphInvariants:
         with pytest.raises(nc.InvalidGraph):
             nc.WeightVector.from_dict(g, {(0, 1): 1.0, (1, 0): 2.0})
 
+    @pytest.mark.parametrize("rng", [None, np.random.default_rng(0)])
+    def test_build_mlp_refuses_an_unknown_init(self, rng):
+        # an unknown name must not fall through to the zeros init
+        with pytest.raises(ValueError, match="unknown init 'bogus'"):
+            nc.build_mlp(3, [2], nc.SIGMOID, init="bogus", rng=rng)
+
 
 class TestEvaluate:
     def test_sigmoid_of_zero(self):
