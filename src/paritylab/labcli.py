@@ -13,6 +13,7 @@ CSV outputs carry a header row and a trailing sha256 digest line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -420,17 +421,17 @@ def cmd_distinguish(config: dict, ctx: RunContext) -> int:
     n = dist.n
     if spec["machine"] == "sgd_sla":
         base_net = _net_from_config(spec["net"], n, seed=ctx.seed)
-        descent_section = dict(spec["descent"])
 
         def machine(trial_seed: int) -> sla.SlaStateMachine:
-            cfg = _descent_config(descent_section, seed=trial_seed)
-            return sla.sgd_as_sla(base_net, netcore.SQUARED_ERROR, cfg)
+            return sla.sgd_as_sla(base_net, netcore.SQUARED_ERROR,
+                                  dataclasses.replace(cfg, seed=trial_seed))
 
         with _values_checked("descent"):  # an unbounded alphabet fails here, before any trace
-            steps = machine(ctx.seed).budgeted_sgd.config.steps
-        if steps != spec["steps"]:
+            cfg = _descent_config(spec["descent"], seed=ctx.seed)
+            machine(ctx.seed)
+        if cfg.steps != spec["steps"]:
             raise SchemaError(f"bad value in distinguish.descent.steps: the traces run "
-                              f"distinguish.steps = {spec['steps']}, got {steps}")
+                              f"distinguish.steps = {spec['steps']}, got {cfg.steps}")
     elif spec["net"] or spec["descent"]:
         raise SchemaError(f"machine {spec['machine']!r} trains no net: "
                           "distinguish.net and distinguish.descent must be empty")

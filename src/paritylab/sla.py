@@ -181,10 +181,13 @@ def run_traces(machines: Sequence[SlaStateMachine], sources: Sequence[SampleSour
     return list(_trace_stream(machines, sources, steps))
 
 
-def _trace_stream(machines, sources, steps: int):
+def _trace_stream(machines, sources, steps: int, first: Optional[int] = None):
     """run_traces' traces, yielded one at a time in machine order.  A stack
     runs all its steps when its first member is reached, then hands out its
-    traces as its members come up; no yielded trace is kept."""
+    traces as its members come up; no yielded trace is kept.  With ``first``
+    each trace comes as the symbol_stat values of its symbols[first:], and a
+    stack whose every member reads _acc_bit_stat builds no symbols: its
+    values are the accuracy bits of its descent."""
     if len(machines) != len(sources):
         raise ValueError("need one source per machine")
     if steps < 1:
@@ -195,25 +198,37 @@ def _trace_stream(machines, sources, steps: int):
         for m in machines
     ]
     stacks: dict = {}
-    for i, key in enumerate(keys):
+
+    def take(i, key):  # a function, so that the generator keeps no trace it yielded
         if key is None:
-            yield run_trace(machines[i], sources[i], steps)
-            continue
-        if key not in stacks:
-            members = [j for j in range(i, len(keys)) if keys[j] == key]
-            stacks[key] = _lockstep_traces(
-                [machines[j].budgeted_sgd for j in members], [sources[j] for j in members], steps
-            )
-        yield next(stacks[key])
+            bits, trace = False, run_trace(machines[i], sources[i], steps)
+        else:
+            if key not in stacks:
+                members = [j for j in range(i, len(keys)) if keys[j] == key]
+                bits = first is not None and all(
+                    machines[j].symbol_stat is _acc_bit_stat for j in members)
+                stacks[key] = bits, _lockstep_traces(
+                    [machines[j].budgeted_sgd for j in members], [sources[j] for j in members],
+                    steps, first if bits else None)
+            bits, traces = stacks[key]
+            trace = next(traces)
+        if bits or first is None:
+            return trace
+        return list(map(machines[i].symbol_stat or float, trace.symbols[first:]))
+    yield from map(take, range(len(keys)), keys)
 
 
-def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int):
+def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int,
+                     first: Optional[int] = None):
     """The traces of K budgeted-SGD machines that differ only in seed, one
     stack of the sample-descent loop.  A generator: every step runs before
-    the first trace is built, then the traces are yielded one by one, in order."""
+    the first trace is built, then the traces are yielded one by one, in order.
+    With ``first`` no step is recorded, and each trace comes as the list of
+    its accuracy bits from step first + 1 on, as floats: _acc_bit_stat of its
+    symbols[first:]."""
     net, loss, config = runs[0].net, runs[0].loss, runs[0].config
+    seeds = [run.config.seed for run in runs]
     w = np.stack([run.w0 for run in runs])
-    rows = np.arange(len(runs))[:, None]
     # every sample up front, filled source by source: step t reads the
     # contiguous (K, n) block[t - 1]
     block = np.empty((steps, len(runs), sources[0].n))
@@ -221,6 +236,11 @@ def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int):
     for k, src in enumerate(sources):
         block[:, k], labels[:, k] = src.take(steps)
     block.setflags(write=False)
+    if first is not None:
+        acc, = _descent._sample_descent(net, w, [(block, labels)], loss, config, seeds)
+        yield from acc.reshape(steps, len(runs))[first:].T.astype(float).tolist()
+        return
+    rows = np.arange(len(runs))[:, None]
     # step t's symbols, for every row: the coordinates, their new values and
     # which of them changed
     shape = (steps, len(runs), min(config.coord_budget, net.n_edges))
@@ -230,8 +250,8 @@ def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int):
 
     def record(t, acc, step_sel, step_changed, update, hit):
         sel[t - 1], new[t - 1], changed[t - 1] = step_sel, w[rows, step_sel], step_changed
-    acc, = _descent._sample_descent(net, w, [(block, labels)], loss, config,
-                                    [run.config.seed for run in runs], on_step=record)
+    acc, = _descent._sample_descent(net, w, [(block, labels)], loss, config, seeds,
+                                    on_step=record)
     acc = acc.reshape(steps, len(runs))
     for k in range(len(runs)):
         # step t's symbol is (the (coordinate, value) pairs that changed, acc bit)
@@ -244,6 +264,11 @@ def _lockstep_traces(runs: Sequence[BudgetedSgd], sources, steps: int):
 # ---------------------------------------------------------------------------
 # bounded-memory SGD as an SLA
 # ---------------------------------------------------------------------------
+
+def _acc_bit_stat(symbol) -> float:
+    """The accuracy bit of a (state, accuracy bit) symbol."""
+    return float(symbol[1])
+
 
 def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStateMachine:
     """Wrap coordinate descent as an SLA over changed-variable symbols.
@@ -296,15 +321,15 @@ def sgd_as_sla(net: NeuralNet, loss: LossKind, config: DescentConfig) -> SlaStat
     return SlaStateMachine(
         alphabet_size=alphabet,
         update=update,
-        symbol_stat=lambda symbol: float(symbol[1]),
+        symbol_stat=_acc_bit_stat,
         replay=replay,
         budgeted_sgd=BudgetedSgd(net, loss, config, w0),
     )
 
 
 def gf2_solver_sla(n: int) -> SlaStateMachine:
-    """Full-memory baseline on n inputs: maintains a reduced GF(2) system
-    (funcdist's gf2_absorb form) as its symbol.
+    """Full-memory baseline on the first n inputs: maintains a reduced GF(2)
+    system (funcdist's gf2_absorb form) over x[:n] as its symbol.
 
     Predicts each fresh label from the current partial solution before
     absorbing the row (rows inconsistent with the state are skipped, so null
@@ -315,7 +340,7 @@ def gf2_solver_sla(n: int) -> SlaStateMachine:
     def update(z, history):
         system = history[-1][0] if history else ()
         x, y = z
-        xbits = pm_to_mask(x)
+        xbits = pm_to_mask(x[:n])
         acc = bool(1.0 - 2.0 * ((gf2_solution(system) & xbits).bit_count() & 1) == y)
         absorbed = gf2_absorb(system, xbits, 1 if y < 0 else 0)
         return (system if absorbed is None else absorbed, acc)
@@ -323,7 +348,7 @@ def gf2_solver_sla(n: int) -> SlaStateMachine:
     return SlaStateMachine(
         alphabet_size=math.inf,
         update=update,
-        symbol_stat=lambda symbol: float(symbol[1]),
+        symbol_stat=_acc_bit_stat,
     )
 
 
@@ -368,17 +393,6 @@ class DistinguishReport:
 
 
 STATISTICS = ("prediction_count", "final_acc_bit")  # the decision statistics
-
-
-def _trace_statistic(trace: TraceRecord, machine: SlaStateMachine, statistic: str) -> float:
-    stat_of = machine.symbol_stat or (lambda s: float(s))
-    symbols = trace.symbols
-    if statistic == "final_acc_bit":
-        return stat_of(symbols[-1])
-    if statistic == "prediction_count":
-        half = len(symbols) // 2
-        return float(sum(stat_of(s) for s in symbols[half:]))
-    raise ValueError(f"unknown statistic {statistic!r}")
 
 
 def distinguish_cap(dist: FunctionDistribution, steps: int, trials: int,
@@ -441,11 +455,11 @@ def distinguish_experiment(
     ]
     machines = [make_machine(tag, i) for tag, count in phases for i in range(count)]
     # every phase's traces run together (in lockstep where they stack), and
-    # each is reduced to its statistic as it arrives
-    stats = np.array([
-        _trace_statistic(trace, mach, statistic)
-        for trace, mach in zip(_trace_stream(machines, sources, steps), machines)
-    ])
+    # each is reduced to its statistic as it arrives: the sum of symbol_stat
+    # over the steps it reads, the last one or the second half
+    first = steps - 1 if statistic == "final_acc_bit" else steps // 2
+    stats = np.array([float(sum(values))
+                      for values in _trace_stream(machines, sources, steps, first)])
     cal_stats, planted, null = np.split(stats, [n_cal, n_cal + trials])
     distinct = np.unique(cal_stats)
     if len(distinct) <= 2:

@@ -253,6 +253,20 @@ class TestGf2SolverSla:
         rate = np.mean([s[1] for s in trace.symbols[200:]])
         assert 0.3 <= rate <= 0.7
 
+    def test_eliminates_only_the_first_n_coordinates(self):
+        """On a source wider than n the system lives on x[:n]: the trace is
+        that of the truncated samples, and it recovers a parity of them."""
+        machine = sla.gf2_solver_sla(5)
+        f = fd.ParitySubset(9, 0b10110)
+        trace = sla.run_trace(machine, fd.SampleSource.planted(f, fd.UniformInputs(9), seed=4), 60)
+        truncated: list = []
+        for (x, y), _ in trace.pairs:
+            truncated.append(machine.update((x[:5], y), truncated))
+        assert list(trace.symbols) == truncated
+        system = trace.symbols[-1][0]
+        assert all(row < 1 << 5 for _, row, _ in system)
+        assert fd.gf2_solution(system) == 0b10110
+
 
 class TestDistinguishExperiment:
     def test_constant_sla_ci_contains_half(self):
@@ -300,29 +314,67 @@ class TestDistinguishExperiment:
         assert doc["trials_per_hypothesis"] == 20
         assert 0.0 <= doc["ci_low"] <= doc["ci_high"] <= 1.0
 
+    @pytest.mark.parametrize("custom_stat", [False, True])
     @pytest.mark.parametrize("statistic", ["prediction_count", "final_acc_bit"])
     @pytest.mark.parametrize("rule", ["topk", "randomk"])
-    def test_one_stack_equals_trace_by_trace(self, rule, statistic):
+    def test_one_stack_equals_trace_by_trace(self, rule, statistic, custom_stat):
         """The experiment's one lockstep stack over all three phases gives
-        the report of running every trace through run_trace."""
+        the report of running every trace through run_trace.  With every
+        machine's own accuracy-bit reader the stack records no step and
+        builds no trace; with a custom symbol_stat it builds the symbols."""
         net = small_net()
 
         def stacked(seed):
-            return sla.sgd_as_sla(net, nc.SQUARED_ERROR, dc.DescentConfig(
+            machine = sla.sgd_as_sla(net, nc.SQUARED_ERROR, dc.DescentConfig(
                 gamma=0.5, steps=16, coord_budget=2, coord_rule=rule,
                 quantization=nc.QuantizationSpec(8, 4), seed=seed))
+            if custom_stat:
+                return dataclasses.replace(machine, symbol_stat=lambda s: float(s[1]))
+            return machine
 
         def unstacked(seed):
             return dataclasses.replace(stacked(seed), budgeted_sgd=None)
 
         kwargs = dict(dist=fd.ParityUniform(6), steps=16, trials=20, statistic=statistic,
                       seed=7, calibration_trials=23)
+        descend = mock.patch.object(dc, "_sample_descent", wraps=dc._sample_descent)
+        build = mock.patch.object(sla, "TraceRecord", wraps=sla.TraceRecord)
         with mock.patch.object(sla, "run_trace", wraps=sla.run_trace) as sequential:
-            lockstep = sla.distinguish_experiment(stacked, **kwargs)
+            with descend as descended, build as built:
+                lockstep = sla.distinguish_experiment(stacked, **kwargs)
             assert sequential.call_count == 0
             separate = sla.distinguish_experiment(unstacked, **kwargs)
             assert sequential.call_count == 23 + 2 * 20
         assert lockstep == separate
+        assert descended.call_count == 1
+        assert (descended.call_args.kwargs.get("on_step") is None) != custom_stat
+        assert built.call_count == (23 + 2 * 20 if custom_stat else 0)
+
+    @pytest.mark.parametrize("statistic", ["prediction_count", "final_acc_bit"])
+    def test_mixed_stack_feeds_each_custom_stat_its_read_symbols(self, statistic):
+        """A stack whose members carry their own symbol_stat, some custom and
+        some the accuracy-bit reader: each custom stat is called on exactly
+        the symbols run_traces gives that machine for the steps the
+        statistic reads, and every machine's values are its stat of them."""
+        net = small_net()
+        steps = 12
+        first = steps - 1 if statistic == "final_acc_bit" else steps // 2
+        base = [sla.sgd_as_sla(net, nc.SQUARED_ERROR, quant_config(steps=steps, seed=s))
+                for s in range(5)]
+        seen = {k: [] for k in (1, 3)}
+
+        def recorder(k):
+            return lambda symbol: seen[k].append(symbol) or 2.0 * symbol[1]
+        machines = [dataclasses.replace(m, symbol_stat=recorder(k)) if k in seen else m
+                    for k, m in enumerate(base)]
+        kinds = [True, False, True, False, True]
+        values = list(sla._trace_stream(machines, _lockstep_sources(kinds), steps, first))
+        traces = sla.run_traces(base, _lockstep_sources(kinds), steps)
+        for k, trace in enumerate(traces):
+            read = trace.symbols[first:]
+            if k in seen:
+                assert seen[k] == list(read)
+            assert values[k] == [(2.0 if k in seen else 1.0) * s[1] for s in read]
 
 
 class TestAccuracyEval:
