@@ -22,7 +22,6 @@ from itertools import compress, islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from . import descent as _descent
 from .descent import DescentConfig
@@ -366,14 +365,18 @@ def constant_sla(symbol=0) -> SlaStateMachine:
 # ---------------------------------------------------------------------------
 
 def _clopper_pearson(successes: int, total: int, alpha: float = 0.05):
+    # imported here so that no other lab command loads scipy at start-up;
+    # betaincinv(a, b, q) is beta.ppf(q, a, b), bit for bit
+    from scipy.special import betaincinv
+
     if successes == 0:
         lo = 0.0
     else:
-        lo = float(_beta_dist.ppf(alpha / 2, successes, total - successes + 1))
+        lo = float(betaincinv(successes, total - successes + 1, alpha / 2))
     if successes == total:
         hi = 1.0
     else:
-        hi = float(_beta_dist.ppf(1 - alpha / 2, successes + 1, total - successes))
+        hi = float(betaincinv(successes + 1, total - successes, 1 - alpha / 2))
     return lo, hi
 
 
@@ -440,20 +443,19 @@ def distinguish_experiment(
     cap = distinguish_cap(dist, steps, trials, statistic, cap_constant, pred_value)
     inputs = UniformInputs(dist.n)
 
-    def make_machine(tag: int, index: int) -> SlaStateMachine:
-        if isinstance(machine, SlaStateMachine):
-            return machine
-        return machine(_derived_seed(seed, tag, index))
-
     n_cal = calibration_trials if calibration_trials is not None else trials
     phases = ((0, n_cal), (1, trials), (2, trials))
+    # each trial's one seed feeds both its sample source and its machine
+    trial_seeds = [(tag, _derived_seed(seed, tag, i))
+                   for tag, count in phases for i in range(count)]
     fn_rng = _descent._stream(seed, 3)
     sources = [
-        SampleSource.planted(dist.draw(fn_rng), inputs, seed=_derived_seed(seed, tag, i))
-        if tag == 1 else SampleSource.null(inputs, seed=_derived_seed(seed, tag, i))
-        for tag, count in phases for i in range(count)
+        SampleSource.planted(dist.draw(fn_rng), inputs, seed=s)
+        if tag == 1 else SampleSource.null(inputs, seed=s)
+        for tag, s in trial_seeds
     ]
-    machines = [make_machine(tag, i) for tag, count in phases for i in range(count)]
+    machines = [machine if isinstance(machine, SlaStateMachine) else machine(s)
+                for _, s in trial_seeds]
     # every phase's traces run together (in lockstep where they stack), and
     # each is reduced to its statistic as it arrives: the sum of symbol_stat
     # over the steps it reads, the last one or the second half

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -402,6 +405,47 @@ def _run_lab(command, parameters, out_dir):
         code = labcli.main([command, "--config", str(cfg)])
     manifest = json.loads((out_dir / "out" / "manifest.json").read_text())
     return code, stderr.getvalue(), manifest
+
+
+_STARTUP_PROBE = """
+import json, sys
+from pathlib import Path
+from paritylab import labcli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(command, parameters):
+    out = Path(sys.argv[1]) / command
+    out.mkdir()
+    cfg = out / "config.json"
+    cfg.write_text(json.dumps({"experiment": command, "seed": 3, "output_dir": str(out / "out"),
+                               "parameters": parameters}))
+    assert labcli.main([command, "--config", str(cfg)]) == 0
+
+seen = {"import": scipy_modules()}
+run("xpred", {"distribution": {"kind": "parity_uniform", "n": 6}, "method": "closed_form"})
+seen["xpred"] = scipy_modules()
+run("distinguish", json.loads(sys.argv[2]))
+seen["distinguish"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+class TestStartup:
+    def test_only_distinguish_loads_scipy(self, tmp_path):
+        """In a fresh interpreter, importing labcli and running `lab xpred`
+        loads no scipy module; `lab distinguish` loads scipy.special for its
+        interval and still not scipy.stats."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path), json.dumps(_DISTINGUISH_BASE)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        assert seen["import"] == [] and seen["xpred"] == [], seen
+        assert "scipy.special" in seen["distinguish"]
+        assert "scipy.stats" not in seen["distinguish"]
 
 
 class TestDistinguishContract:

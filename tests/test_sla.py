@@ -376,6 +376,60 @@ class TestDistinguishExperiment:
                 assert seen[k] == list(read)
             assert values[k] == [(2.0 if k in seen else 1.0) * s[1] for s in read]
 
+    def test_derives_each_trial_seed_once(self):
+        """One seed per trial feeds both its sample source and its machine."""
+        made = []
+
+        def machine(seed):
+            made.append(seed)
+            return sla.constant_sla()
+
+        with mock.patch.object(sla, "_derived_seed", wraps=sla._derived_seed) as derived:
+            sla.distinguish_experiment(machine, fd.ParityUniform(4), steps=5, trials=20,
+                                       seed=3, calibration_trials=21)
+        assert derived.call_count == 21 + 2 * 20
+        assert made == [sla._derived_seed(3, tag, i)
+                        for tag, count in ((0, 21), (1, 20), (2, 20)) for i in range(count)]
+
+
+class TestClopperPearson:
+    ALPHAS = (0.001, 0.01, 0.05, 0.1, 0.2)
+    TOTALS = (*range(1, 401), 600, 1000, 6000)
+
+    def test_equals_beta_ppf_bit_for_bit(self):
+        """Every success count of every total at every alpha: the interval's
+        bits are those of scipy.stats.beta's quantiles, computed over each
+        total's success counts at once."""
+        from scipy.stats import beta
+
+        for alpha in self.ALPHAS:
+            for total in self.TOTALS:
+                s = np.arange(total + 1)
+                with np.errstate(all="ignore"):  # the ends that are not computed
+                    lo = beta.ppf(alpha / 2, s, total - s + 1)
+                    hi = beta.ppf(1 - alpha / 2, s + 1, total - s)
+                lo[0], hi[-1] = 0.0, 1.0
+                got = np.array([sla._clopper_pearson(k, total, alpha) for k in range(total + 1)])
+                want = np.stack([lo, hi], axis=1)
+                differ = np.flatnonzero((got.view(np.uint64) != want.view(np.uint64)).any(axis=1))
+                assert differ.size == 0, (
+                    f"alpha {alpha}, total {total}: successes {differ[:5].tolist()} give "
+                    f"{got[differ[:5]].tolist()}, beta.ppf {want[differ[:5]].tolist()}")
+
+    @pytest.mark.parametrize("total", [1, 2, 3, 40, 400, 6000])
+    def test_equals_scalar_beta_ppf(self, total):
+        """The parent formula itself, one scalar beta.ppf per end, at the
+        edge counts and the middle: lo is 0.0 at no success, hi 1.0 at all."""
+        from scipy.stats import beta
+
+        for alpha in self.ALPHAS:
+            for k in {k for k in (0, 1, 2, total // 2, total - 2, total - 1, total) if k >= 0}:
+                lo = 0.0 if k == 0 else float(beta.ppf(alpha / 2, k, total - k + 1))
+                hi = 1.0 if k == total else float(beta.ppf(1 - alpha / 2, k + 1, total - k))
+                got = np.array(sla._clopper_pearson(k, total, alpha))
+                assert got.view(np.uint64).tolist() == np.array([lo, hi]).view(np.uint64).tolist(), \
+                    (k, total, alpha, got.tolist(), (lo, hi))
+
 
 class TestAccuracyEval:
     def test_constant_net_vs_balanced_function(self):
