@@ -7,7 +7,6 @@ product of the selected +-1 coordinates, equivalently the XOR of the bits.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,29 +129,61 @@ class MonomialSubset(ParitySubset):
         return {"kind": "monomial", "n": self.n, "mask": self.mask, "k": self.k}
 
 
+_MIX_M1, _MIX_M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _mix64(h: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer (Steele, Lea & Flood 2014), in place on a uint64
+    array, all arithmetic mod 2^64."""
+    h ^= h >> 30
+    h *= _MIX_M1
+    h ^= h >> 27
+    h *= _MIX_M2
+    h ^= h >> 31
+    return h
+
+
+def _mix64_int(x: int) -> int:
+    """_mix64 of one Python int in [0, 2^64), for a table's keys: on a
+    one-element array the same rounds cost several times as much."""
+    x = (x ^ x >> 30) * _MIX_M1 & 0xFFFFFFFFFFFFFFFF
+    x = (x ^ x >> 27) * _MIX_M2 & 0xFFFFFFFFFFFFFFFF
+    return x ^ x >> 31
+
+
 @dataclass(frozen=True)
 class RandomTable(FunctionId):
     """A uniformly random function, lazily materialized via a keyed hash so
-    that large n stays usable without storing 2^n entries."""
+    that large n stays usable without storing 2^n entries.
+
+    With k0 = mix64(seed) and k1 = mix64(k0 ^ 0x9E3779B97F4A7C15), an input's
+    bits [x_i < 0], packed little-endian into W = max(1, ceil(n / 64)) words
+    u_j (the last zero-padded), give h = k0, then h = mix64(h ^ u_j) for each
+    word; f(x) = -1 iff bit 63 of mix64(h ^ k1) is set."""
 
     n: int
     seed: int
 
-    def _keyed(self):
-        """The BLAKE2b state keyed by the seed; an input's bit is the low bit
-        of the first digest byte after feeding it the packed input."""
-        return hashlib.blake2b(digest_size=8, key=self.seed.to_bytes(8, "little", signed=False))
+    def __post_init__(self):
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"random table seed must be in [0, 2^64), got {self.seed}")
+        k0 = _mix64_int(self.seed)
+        object.__setattr__(self, "_k0", k0)
+        object.__setattr__(self, "_k1", _mix64_int(k0 ^ 0x9E3779B97F4A7C15))
 
     def evaluate_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
-        packed = np.packbits(xs < 0, axis=1)
-        keyed = self._keyed()
-        bits = []
-        for row in packed:
-            h = keyed.copy()
-            h.update(row)
-            bits.append(h.digest()[0] & 1)
-        return 1.0 - 2.0 * np.array(bits, dtype=np.float64)
+        rows, words = xs.shape[0], max(1, -(-self.n // 64))
+        # each row padded to whole words: one flat packbits is a row-wise one
+        bits = np.zeros((rows, 64 * words), dtype=bool)
+        np.less(xs, 0, out=bits[:, :self.n])
+        u = np.packbits(bits, bitorder="little").view("<u8").reshape(rows, words)
+        h = np.full(rows, self._k0, dtype=np.uint64)
+        for j in range(words):
+            h ^= u[:, j]
+            _mix64(h)
+        h ^= self._k1
+        return _PM_OF_BIT[_mix64(h) >> 63]
 
     def describe(self) -> dict:
         return {"kind": "random_table", "n": self.n, "seed": self.seed}

@@ -51,7 +51,7 @@ _FLOAT_MAX = sys.float_info.max  # an upper bound that refuses inf
 KEY_TABLES = {
     "config": {
         "experiment": (str, _REQUIRED),
-        "seed": (int, 0),
+        "seed": (int, 0, 0),
         "parameters": (dict, {}),
         "output_dir": (str, "lab_out"),
     },
@@ -727,7 +727,9 @@ def main(argv=None) -> int:
             raise SchemaError(
                 f"config is for experiment {top['experiment']!r}, not {args.command!r}"
             )
-        seed = args.seed if args.seed is not None else top["seed"]
+        seed = top["seed"]
+        if args.seed is not None:  # the flag is held to the config key's bounds
+            seed = _checked(args.seed, int, "--seed", *KEY_TABLES["config"]["seed"][2:])
         out_dir = Path(args.out) if args.out else Path(top["output_dir"])
         ctx = RunContext(args.command, config_bytes, top, seed, out_dir)
         code, error = COMMANDS[args.command](top["parameters"], ctx), None

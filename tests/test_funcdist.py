@@ -52,6 +52,64 @@ class TestEvalFunction:
             fd.MonomialSubset(4, 0b0111, 2)
 
 
+_M64 = (1 << 64) - 1
+
+
+def _mix64_ref(x):
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _M64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
+
+
+def _random_table_ref(n, seed, x):
+    """RandomTable's value at x, from its definition in plain Python ints."""
+    k0 = _mix64_ref(seed)
+    k1 = _mix64_ref(k0 ^ 0x9E3779B97F4A7C15)
+    bits = sum(1 << i for i in range(n) if x[i] < 0)
+    h = k0
+    for j in range(max(1, -(-n // 64))):
+        h = _mix64_ref(h ^ ((bits >> (64 * j)) & _M64))
+    return -1.0 if _mix64_ref(h ^ k1) >> 63 else 1.0
+
+
+class TestRandomTableDefinition:
+    SEEDS = (0, 1, 2 ** 62 - 1, 2 ** 64 - 1,
+             int(np.random.default_rng(23).integers(0, 2 ** 64, dtype=np.uint64)))
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 16, 63, 64, 65, 130])
+    def test_matches_plain_int_reference(self, n):
+        rng = np.random.default_rng(n)
+        xs = fd.all_inputs_pm(n) if n <= 8 else fd.UniformInputs(n).sample(rng, 200)
+        for seed in self.SEEDS:
+            table = fd.RandomTable(n, seed)
+            expected = [_random_table_ref(n, seed, x) for x in xs]
+            assert table.evaluate_batch(xs).tolist() == expected
+            assert [table.evaluate(x) for x in xs[:20]] == expected[:20]
+
+    @pytest.mark.parametrize("seeds", [
+        [int(s) for s in np.random.default_rng(12).integers(0, 2 ** 64, size=1000,
+                                                             dtype=np.uint64)],
+        list(range(1000)),
+    ], ids=["random", "0-999"])
+    def test_tables_look_independent(self, seeds):
+        """Over all 2^12 inputs, distinct tables correlate as independent
+        uniform functions do (mean squared correlation 2^-12), and each
+        table's mean is within 5 standard deviations (5 * 2^-6) of 0."""
+        xs = fd.all_inputs_pm(12)
+        values = np.array([fd.RandomTable(12, s).evaluate_batch(xs) for s in seeds])
+        corr = values @ values.T / len(xs)
+        off = corr[~np.eye(len(seeds), dtype=bool)]
+        assert 0.8 <= np.mean(off ** 2) * 2 ** 12 <= 1.25
+        assert np.max(np.abs(values.mean(axis=1))) <= 5 * 2.0 ** -6
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, -(2 ** 64)])
+    def test_seed_outside_64_bits_refused(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            fd.RandomTable(4, seed)
+
+
 class TestDrawFunction:
     def test_explicit_point_mass(self):
         f = fd.ParitySubset(3, 0b010)
@@ -177,7 +235,7 @@ class TestSampleStreamsPinned:
         xs = fd.all_inputs_pm(12)
         values = table.evaluate_batch(xs)
         assert hashlib.sha256(values.tobytes()).hexdigest() == (
-            "7ca5b1f4bf0b663b240cc5ba3ae88003abf82917da37c896171f43306d098a1c")
+            "f2006e31af39479f0b11007b65e18653dd45b570cb153b36ccbafde06584c880")
         assert [table.evaluate(x) for x in xs[:64]] == values[:64].tolist()
 
     def test_parity_indices_fixed_at_construction(self):

@@ -323,17 +323,33 @@ class TestBoundsCommand:
         assert float(rows[1][-1]) >= float(rows[0][-1])
 
     @pytest.mark.parametrize("seed, digest", [
-        (21, "f624855339884b633ad9badb45fda5497b7d0168d5be93d265f9c624df774cb9"),
-        (22, "d769c3915744ce1e715e08685371c4f84ef3574cc35956a6168a2bfcb80e20d6"),
+        (21, "350cfd319935fdae20aa19155de3e7b1913e07c93e2a36550dfff308626b8797"),
+        (22, "1ea10cff00acc9c7eb1d286c83280fafedbf30b520d4b596426c2c5dd913b0bc"),
     ])
     def test_monte_carlo_file_pinned(self, tmp_path, seed, digest):
-        # taken before the Monte-Carlo estimators were folded into one helper
-        # and the random table built its keyed hasher once per batch
+        # taken when random tables became a keyed SplitMix64 hash of the whole
+        # batch; the pair loop's draws are pinned by the parity file below
         cfg = write_config(tmp_path, {
             "experiment": "xpred", "seed": seed, "output_dir": str(tmp_path / "out"),
             "parameters": {"distribution": {"kind": "constant_mixture", "n": 16,
                                             "p_const": 0.25},
                            "outer_pairs": 2000},
+        })
+        assert labcli.main(["xpred", "--config", str(cfg)]) == 0
+        blob = (tmp_path / "out" / "xpred.json").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (21, "e60f380ee1ae439c589d3d27d8acb670def0e404f57daeb00125b72e0f3d0b75"),
+        (22, "3a5fb5ac0ca2e490d619335a2dfd49d93ab46784573c595b5dcab59b55b8bde4"),
+    ])
+    def test_monte_carlo_parity_file_pinned(self, tmp_path, seed, digest):
+        # taken while random tables were keyed BLAKE2b: parities evaluate no
+        # table, so these bytes pin the pair loop's draws from the generator
+        cfg = write_config(tmp_path, {
+            "experiment": "xpred", "seed": seed, "output_dir": str(tmp_path / "out"),
+            "parameters": {"distribution": {"kind": "parity_uniform", "n": 10},
+                           "method": "monte_carlo", "outer_pairs": 2000},
         })
         assert labcli.main(["xpred", "--config", str(cfg)]) == 0
         blob = (tmp_path / "out" / "xpred.json").read_bytes()
@@ -1015,8 +1031,12 @@ def _key_tables():
 
 def _out_of_range_cases():
     """(where, key, value) for every bounded key: just below its low bound,
-    just above its high bound where it has one, and NaN for a float."""
+    just above its high bound where it has one, and NaN for a float.  The
+    top-level table's bound (seed) sits outside parameters, so TestSeedBound
+    covers it on every command."""
     for where, table in _key_tables():
+        if where == "config":
+            continue
         for key, (typ, _, *bounds) in table.items():
             if not bounds:
                 continue
@@ -1084,3 +1104,50 @@ class TestKeyTableBounds:
         unnamed = sorted({name for _, table in _key_tables() for typ, *_ in table.values()
                           for name in _names(typ) if name and f"`{name}`" not in cli})
         assert unnamed == []
+
+
+# valid parameters of each of the seven commands, from their table sites
+_COMMAND_PARAMETERS = {command: parameters for command, parameters, _ in _TABLE_SITES.values()}
+
+
+class TestSeedBound:
+    """A negative seed exits 2 naming the seed, whether it comes from the
+    config or from --seed, on every command."""
+
+    @staticmethod
+    def _run(tmp_path, command, seed, flag, parameters=None):
+        cfg = write_config(tmp_path, {"experiment": command, "seed": seed,
+                                      "output_dir": str(tmp_path / "out"),
+                                      "parameters": parameters or _COMMAND_PARAMETERS[command]})
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = labcli.main([command, "--config", str(cfg)] + flag)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        return code, stderr.getvalue(), manifest
+
+    def test_every_command_has_parameters(self):
+        assert sorted(_COMMAND_PARAMETERS) == sorted(labcli.COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(labcli.COMMANDS))
+    @pytest.mark.parametrize("seed, flag, name", [
+        (-1, [], "config.seed"), (0, ["--seed", "-2"], "--seed")], ids=["config", "flag"])
+    def test_negative_seed_exits_2(self, tmp_path, command, seed, flag, name):
+        code, stderr, manifest = self._run(tmp_path, command, seed, flag)
+        assert code == 2
+        assert len(stderr.strip().splitlines()) == 1 and "Traceback" not in stderr
+        assert stderr.startswith(f"schema error: bad value in {name}: must be >= 0")
+        assert (manifest["status"], manifest["exit_code"]) == ("invalid", 2)
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.one_of(st.integers(-3, 3), st.sampled_from([-(2 ** 64), 2 ** 64 - 1])),
+           flag=st.booleans())
+    def test_fuzzed_seed_keeps_the_exit_contract(self, seed, flag):
+        """A seed runs (exit 0) exactly when it is >= 0, by either path."""
+        with tempfile.TemporaryDirectory() as tmp:
+            args = (0, ["--seed", str(seed)]) if flag else (seed, [])
+            code, stderr, manifest = self._run(Path(tmp), "xpred", *args, parameters={
+                "distribution": {"kind": "parity_uniform", "n": 4}})
+        assert code == (0 if seed >= 0 else 2)
+        assert "Traceback" not in stderr
+        assert manifest["status"] == ("ok" if seed >= 0 else "invalid")
